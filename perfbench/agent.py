@@ -414,8 +414,8 @@ class Remote:
     and kept for the whole run.  Each sweep call carries two blocks of
     the pool walk (every fraction twice) as single-trial chunks that the
     workers claim as they free up, so a sweep's cost does not depend on
-    how the seed pairs cheap and dear trials.  A trial's latency runs
-    from the sweep call to the moment its chunk settles.
+    how the seed pairs cheap and dear trials.  A trial's latency is the
+    time its chunk holds a worker slot (see :class:`_SettleClock`).
     """
 
     trials_per_sweep = 2 * len(common.FRACTIONS)
@@ -439,6 +439,7 @@ class Remote:
         with span("eval.dist.launch"):
             specs = self.launcher.launch()
         self.pids = [worker.pid for worker in self.launcher.workers]
+        self.slots = len(specs)  # capacity 1 each
         self.executor = RemoteExecutor(
             hosts=specs, chunks_per_worker=self.trials_per_sweep // len(specs)
         )
@@ -458,8 +459,7 @@ class Remote:
         ]
         self.cursor += self.trials_per_sweep
         tally.attempted += self.trials_per_sweep
-        clock = _SettleClock(self.executor, self.tracer)
-        start = time.perf_counter()
+        clock = _SettleClock(self.executor, self.tracer, self.slots)
         try:
             results = run_scenario_tasks(
                 self.instance,
@@ -471,8 +471,7 @@ class Remote:
             for index in indices:
                 tally.fail("error", f"trial {index}: {exc!r}")
             return
-        for settled in clock.trial_settled:
-            tally.latencies_ms.append((settled - start) * 1e3)
+        tally.latencies_ms.extend(clock.trial_latencies_ms)
         for index, errors in zip(indices, results):
             if common.digest(errors) != self.digests[index]:
                 tally.fail("wrong", f"trial {index}: digest mismatch")
@@ -538,18 +537,25 @@ class Remote:
 
 
 class _SettleClock:
-    """Executor proxy stamping when each chunk settles.
+    """Executor proxy timing how long each chunk holds a worker slot.
 
     ``run_scenario_tasks`` only calls ``plan`` and ``map_chunks``; the
-    proxy forwards both, records each chunk's settle time per trial and,
-    when tracing, a span from dispatch to settle for every chunk (the
-    children that ``eval.parallel.self_ms`` subtracts).
+    proxy forwards both and stamps each chunk as it settles.  Workers of
+    capacity 1 claim chunks in order as they free up, so the first
+    ``slots`` chunks start with the sweep call and chunk ``c`` after
+    that starts when the ``c - slots``-th settle frees its slot.  A
+    trial's latency runs from that start to its own settle: one trial's
+    round trip through the coordinator, transport and worker, rather
+    than its place in the sweep's queue (a quantity that jumps a whole
+    trial at a time).  When tracing, a span from the sweep call to each
+    settle marks the children that ``eval.parallel.self_ms`` subtracts.
     """
 
-    def __init__(self, inner, tracer: Tracer) -> None:
+    def __init__(self, inner, tracer: Tracer, slots: int) -> None:
         self.inner = inner
         self.tracer = tracer
-        self.trial_settled: list[float] = []
+        self.slots = slots
+        self.trial_latencies_ms: list[float] = []
         self._sizes: list[int] = []
 
     def plan(self, tasks):
@@ -560,9 +566,20 @@ class _SettleClock:
     def map_chunks(self, context, chunks):
         dispatched = time.perf_counter()
         tracing_on = self.tracer.active
+        settles: list[float] = []
         for chunk_index, errors_list in self.inner.map_chunks(context, chunks):
             settled = time.perf_counter()
-            self.trial_settled.extend([settled] * self._sizes[chunk_index])
+            freed_by = chunk_index - self.slots
+            # A requeued chunk (worker loss) can settle out of order.
+            began = (
+                settles[min(freed_by, len(settles) - 1)]
+                if freed_by >= 0 and settles
+                else dispatched
+            )
+            settles.append(settled)
+            self.trial_latencies_ms.extend(
+                [(settled - began) * 1e3] * self._sizes[chunk_index]
+            )
             if tracing_on:
                 self.tracer.recorder.add_span(
                     "eval.dist.settle", dispatched, settled
