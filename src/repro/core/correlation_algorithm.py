@@ -18,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.correlation import CorrelationStructure
-from repro.core.equations import build_equations
 from repro.core.interfaces import PathGoodProvider
 from repro.core.prepared import PreparedRegistry, PreparedTopology, get_prepared
 from repro.core.results import InferenceResult
-from repro.core.solvers import solve
+from repro.core.solvers import SOLVERS
 from repro.core.topology import Topology
 
 __all__ = ["AlgorithmOptions", "CorrelationTomography", "infer_congestion"]
@@ -32,19 +31,45 @@ __all__ = ["AlgorithmOptions", "CorrelationTomography", "infer_congestion"]
 class AlgorithmOptions:
     """Tuning knobs of the practical algorithm.
 
+    The options are the cache key of the equation structure (see
+    :meth:`~repro.core.prepared.PreparedTopology.template`), so they are
+    validated here: an unknown value would otherwise be cached under a
+    key that means nothing, and a ``Generator`` seed would be consumed
+    differently on every build.
+
     Attributes:
         selection: ``"independent"`` keeps only rank-increasing equations
             (the paper's formulation); ``"all"`` keeps every eligible row
             for noise averaging.
-        solver: ``"l1"`` (paper), ``"least_squares"``, or ``"auto"``.
+        solver: ``"l1"`` (paper), ``"least_squares"``, ``"min_norm"``,
+            or ``"auto"``.
         max_pair_candidates: Bound on examined path pairs.
-        pair_order_seed: Shuffle seed for pair examination order.
+        pair_order_seed: Integer shuffle seed for the pair examination
+            order; ``None`` keeps generation order.
     """
 
     selection: str = "independent"
     solver: str = "l1"
     max_pair_candidates: int = 200_000
     pair_order_seed: int | None = 0
+
+    def __post_init__(self) -> None:
+        if self.selection not in ("independent", "all"):
+            raise ValueError(
+                "selection must be 'independent' or 'all', got "
+                f"{self.selection!r}"
+            )
+        if self.solver != "auto" and self.solver not in SOLVERS:
+            raise ValueError(
+                f"unknown solver {self.solver!r}; available: "
+                f"{sorted([*SOLVERS, 'auto'])}"
+            )
+        seed = self.pair_order_seed
+        if seed is not None and not isinstance(seed, (int, np.integer)):
+            raise TypeError(
+                "pair_order_seed must be an int or None, got "
+                f"{type(seed).__name__}"
+            )
 
 
 def infer_congestion(
@@ -58,6 +83,11 @@ def infer_congestion(
     registry: PreparedRegistry | None = None,
 ) -> InferenceResult:
     """Run the Section-4 algorithm end to end.
+
+    The equation structure comes from the prepared state's cached
+    :class:`~repro.core.streaming.EquationTemplate` for ``options``
+    (built on first use); each call gathers the measured values and
+    solves.
 
     Args:
         topology: The measurement topology.
@@ -74,39 +104,11 @@ def infer_congestion(
         registry: Prepared-state registry to resolve against; ``None``
             uses the ambient/default registry.
     """
-    options = options or AlgorithmOptions()
-    system = build_equations(
-        topology,
-        correlation,
-        measurements,
-        selection=options.selection,
-        max_pair_candidates=options.max_pair_candidates,
-        pair_order_seed=options.pair_order_seed,
-        prepared=prepared,
-        registry=registry,
+    prep = get_prepared(
+        topology, correlation, registry=registry, prepared=prepared
     )
-    matrix, values = system.sparse_matrix()
-    solution, solver_used = solve(matrix, values, method=options.solver)
-    # Guard the exp() below: solution entries are log-probabilities and the
-    # solver already enforces <= 0, but numerical round-off can leave tiny
-    # positive values.
-    solution = np.minimum(solution, 0.0)
-    probabilities = 1.0 - np.exp(solution)
-    probabilities = np.clip(probabilities, 0.0, 1.0)
-    return InferenceResult(
-        algorithm=algorithm_label,
-        congestion_probabilities=probabilities,
-        log_good=solution,
-        uncovered_links=system.uncovered_links,
-        n_single_equations=system.n_single,
-        n_pair_equations=system.n_pair,
-        rank=system.rank,
-        solver=solver_used,
-        diagnostics={
-            "n_eligible_paths": len(system.eligible_paths),
-            "n_links": topology.n_links,
-            "fully_determined": system.is_fully_determined,
-        },
+    return prep.template(options or AlgorithmOptions()).infer(
+        measurements, algorithm_label=algorithm_label
     )
 
 
@@ -128,7 +130,6 @@ class CorrelationTomography:
         self._correlation = correlation
         self._options = options or AlgorithmOptions()
         self._prepared: PreparedTopology | None = None
-        self._template = None
 
     @property
     def topology(self) -> Topology:
@@ -145,31 +146,13 @@ class CorrelationTomography:
         return self._prepared
 
     def infer(self, measurements: PathGoodProvider) -> InferenceResult:
-        """Infer congestion probabilities from one measurement batch."""
-        return infer_congestion(
-            self._topology,
-            self._correlation,
-            measurements,
-            options=self._options,
-            prepared=self.prepare(),
-        )
+        """Infer congestion probabilities from one measurement batch.
 
-    def update(self, measurements: PathGoodProvider) -> InferenceResult:
-        """Window-incremental inference over a cached equation structure.
-
-        The first call extracts the accepted row structure (which, under
-        both selection modes, depends only on the prepared topology —
-        never on measured values) and caches the assembled sparse matrix;
-        every call then pays only the right-hand-side gather plus the
-        solve.  Bit-identical to :meth:`infer` on the same observations.
+        Every call reuses the prepared state's cached equation template
+        and pays only the value gather plus the solve, so this is also
+        the window-incremental path.
         """
-        from repro.core.streaming import EquationTemplate
+        return self.prepare().template(self._options).infer(measurements)
 
-        if self._template is None:
-            self._template = EquationTemplate.build(
-                self._topology,
-                self._correlation,
-                options=self._options,
-                prepared=self.prepare(),
-            )
-        return self._template.infer(measurements)
+    #: Historical name of the window-incremental call; the same path.
+    update = infer

@@ -28,14 +28,14 @@ Two selection modes:
   reconcile redundancy — more robust under measurement noise, identical in
   the noise-free consistent case.
 
-The builder is batch-first: candidate pairs are enumerated with array
-operations on the sparse routing matrix, eligibility is decided by
-:meth:`~repro.core.correlation.CorrelationStructure.pairs_correlation_free`
-in one shot, measured values are fetched through the provider's vectorised
-``log_good_all`` / ``log_good_pairs`` APIs when available (falling back to
-the scalar protocol otherwise), and the accepted system is assembled as
-sparse COO triplets — the dense ``|rows| × |E|`` matrix is only
-materialised on explicit request.
+In both modes the accepted rows depend only on the topology, the
+correlation structure and the options, never on the measured values.
+:func:`build_equations` therefore reads the row structure from the
+prepared state's cached :class:`~repro.core.streaming.EquationTemplate`
+(candidate enumeration, eligibility and rank tracking run once per
+options) and adds one value gather through the provider's vectorised
+``log_good_all`` / ``log_good_pairs`` calls.  The dense
+``|rows| × |E|`` matrix is only materialised on explicit request.
 """
 
 from __future__ import annotations
@@ -46,18 +46,17 @@ import numpy as np
 from scipy import sparse
 
 from repro.core.correlation import CorrelationStructure
-from repro.core.interfaces import PathGoodProvider, batch_log_good_all
+from repro.core.correlation_algorithm import AlgorithmOptions
+from repro.core.interfaces import PathGoodProvider
 from repro.core.prepared import (  # noqa: F401  (re-exported for compat)
     PreparedRegistry,
     PreparedTopology,
+    _incidence_matrix,
     _RankTracker,
-    _row_vector,
-    _shared_link_pair_candidates,
     get_prepared,
 )
 from repro.core.topology import Topology
 from repro.exceptions import SolverError
-from repro.utils.rng import as_generator
 
 __all__ = ["EquationRow", "EquationSystem", "build_equations"]
 
@@ -112,19 +111,8 @@ class EquationSystem:
                 "no equations could be formed: every path involves "
                 "correlated links"
             )
-        counts = np.array(
-            [len(row.link_ids) for row in self.rows], dtype=np.int64
-        )
-        row_index = np.repeat(np.arange(len(self.rows)), counts)
-        col_index = np.concatenate(
-            [sorted(row.link_ids) for row in self.rows]
-        ).astype(np.int64)
-        matrix = sparse.csr_matrix(
-            (
-                np.ones(col_index.size, dtype=np.float64),
-                (row_index, col_index),
-            ),
-            shape=(len(self.rows), self.n_links),
+        matrix = _incidence_matrix(
+            [row.link_ids for row in self.rows], self.n_links
         )
         values = np.array([row.value for row in self.rows], dtype=np.float64)
         return matrix, values
@@ -138,35 +126,6 @@ class EquationSystem:
     def is_fully_determined(self) -> bool:
         """True when ``N1 + N2`` reached ``|E|`` *and* rank is full."""
         return self.rank >= self.n_links
-
-
-def _single_values(
-    measurements: PathGoodProvider,
-    path_ids: list[int],
-    n_paths: int,
-) -> np.ndarray:
-    """``y_i`` for the eligible paths, batch when the provider allows."""
-    all_values = batch_log_good_all(measurements, n_paths)
-    if all_values is not None:
-        return all_values[np.asarray(path_ids, dtype=np.int64)]
-    return np.array(
-        [measurements.log_good(path_id) for path_id in path_ids],
-        dtype=np.float64,
-    )
-
-
-def _pair_values(
-    measurements: PathGoodProvider,
-    pairs: np.ndarray,
-) -> np.ndarray | None:
-    """``y_ij`` for candidate pairs in one batch call, or ``None`` when
-    the provider only speaks the scalar protocol (values are then fetched
-    lazily, only for accepted rows)."""
-    if pairs.size and hasattr(measurements, "log_good_pairs"):
-        return np.asarray(
-            measurements.log_good_pairs(pairs), dtype=np.float64
-        )
-    return None
 
 
 def build_equations(
@@ -192,110 +151,41 @@ def build_equations(
         max_pair_candidates: Bound on examined shared-link pairs; beyond it
             the system is returned as-is (rank possibly deficient — the
             L1 solve then picks the minimum-error solution, Section 4).
-        pair_order_seed: Seed for shuffling pair candidates so truncation
-            is not biased toward low-id links; ``None`` keeps generation
-            order.
+        pair_order_seed: Integer seed for shuffling pair candidates so
+            truncation is not biased toward low-id links; ``None`` keeps
+            generation order.
         prepared: Pre-built measurement-independent state for this
             ``(topology, correlation)`` pair; skips the registry lookup.
         registry: Registry to resolve/cache the prepared state in;
             defaults to the ambient registry (see
             :func:`repro.core.prepared.use_registry`).
     """
-    if selection not in ("independent", "all"):
-        raise ValueError(
-            f"selection must be 'independent' or 'all', got {selection!r}"
-        )
-    n_links = topology.n_links
-    system = EquationSystem(n_links=n_links)
-    prep = get_prepared(
+    options = AlgorithmOptions(
+        selection=selection,
+        max_pair_candidates=max_pair_candidates,
+        pair_order_seed=pair_order_seed,
+    )
+    template = get_prepared(
         topology, correlation, registry=registry, prepared=prepared
+    ).template(options)
+    kinds = ["path"] * template.n_single + ["pair"] * template.n_pair
+    sources = [(int(p),) for p in template.single_paths] + [
+        (int(a), int(b)) for a, b in template.pair_array
+    ]
+    return EquationSystem(
+        n_links=topology.n_links,
+        rows=[
+            EquationRow(kind=kind, paths=paths, link_ids=links, value=value)
+            for kind, paths, links, value in zip(
+                kinds,
+                sources,
+                template.link_sets,
+                template.values(measurements).tolist(),
+            )
+        ],
+        n_single=template.n_single,
+        n_pair=template.n_pair,
+        rank=template.rank,
+        eligible_paths=template.eligible_paths,
+        uncovered_links=template.uncovered_links,
     )
-    tracker = prep.clone_tracker()
-    system.eligible_paths = prep.eligible
-
-    # --- Single-path rows (Eq. 9) -------------------------------------
-    single_values = _single_values(
-        measurements, list(prep.eligible), topology.n_paths
-    )
-    for (path_id, link_ids, added), value in zip(
-        prep.singles, single_values
-    ):
-        if selection == "all" or added:
-            system.rows.append(
-                EquationRow(
-                    kind="path",
-                    paths=(path_id,),
-                    link_ids=link_ids,
-                    value=float(value),
-                )
-            )
-            system.n_single += 1
-
-    # --- Pair rows (Eq. 10) -------------------------------------------
-    if tracker.rank < n_links or selection == "all":
-        candidates = prep.candidates
-        pair_eligible = prep.pair_eligible
-        # Prefilter is skipped when the candidate cap binds (dropped
-        # rows would otherwise still count as "examined") and in "all"
-        # mode, which keeps dependent rows.
-        use_prefilter = (
-            selection == "independent"
-            and 0 < candidates.shape[0] <= max_pair_candidates
-        )
-        keep = ~prep.dependent_mask() if use_prefilter else None
-        if pair_order_seed is not None:
-            # Permute the FULL candidate list — identical RNG use and
-            # examination order to the historical builder — and only
-            # then drop the provably dependent rows (skipping them does
-            # not change the tracker, so acceptance is preserved).
-            order = as_generator(pair_order_seed).permutation(
-                candidates.shape[0]
-            )
-            candidates = candidates[order]
-            pair_eligible = pair_eligible[order]
-            if keep is not None:
-                keep = keep[order]
-        if keep is not None:
-            candidates = candidates[keep]
-            pair_eligible = pair_eligible[keep]
-        pair_values = _pair_values(measurements, candidates)
-        examined = 0
-        for index in range(candidates.shape[0]):
-            if examined >= max_pair_candidates:
-                break
-            if selection == "independent" and tracker.rank >= n_links:
-                break
-            examined += 1
-            if not pair_eligible[index]:
-                continue
-            path_a, path_b = (
-                int(candidates[index, 0]),
-                int(candidates[index, 1]),
-            )
-            link_ids = frozenset(
-                topology.paths[path_a].link_ids
-            ) | frozenset(topology.paths[path_b].link_ids)
-            row = _row_vector(link_ids, n_links)
-            added = tracker.try_add(row)
-            if selection == "all" or added:
-                value = (
-                    float(pair_values[index])
-                    if pair_values is not None
-                    else measurements.log_good_pair(path_a, path_b)
-                )
-                system.rows.append(
-                    EquationRow(
-                        kind="pair",
-                        paths=(path_a, path_b),
-                        link_ids=link_ids,
-                        value=value,
-                    )
-                )
-                system.n_pair += 1
-
-    system.rank = tracker.rank
-    covered: set[int] = set()
-    for row in system.rows:
-        covered.update(row.link_ids)
-    system.uncovered_links = frozenset(range(n_links)) - frozenset(covered)
-    return system

@@ -15,6 +15,9 @@ Both are implemented by the empirical estimator
 (:class:`repro.simulate.observations.PathObservations`) and by the exact
 oracle (:class:`repro.simulate.oracle.ExactPathStateDistribution`), so every
 algorithm can run on noisy measurements or on ground truth unchanged.
+Both also implement :class:`BatchPathGoodProvider`, the vectorised
+``log_good_all`` / ``log_good_pairs`` pair the inference consumes;
+:func:`batch_provider` adapts any other scalar-only provider to it.
 """
 
 from __future__ import annotations
@@ -23,28 +26,12 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["PathGoodProvider", "PathStateProvider", "batch_log_good_all"]
-
-
-def batch_log_good_all(measurements, n_paths: int) -> "np.ndarray | None":
-    """All ``log P(Y_i = 0)`` via the provider's batch API, if it has one.
-
-    Batch consumers (the equation builder, the independence baseline)
-    probe for the optional vectorised ``log_good_all`` here so the
-    sniffing — and the handling of a provider returning the wrong shape
-    (always a loud ``ValueError``) — lives in exactly one place.
-    Returns ``None`` for scalar-only providers; callers then fall back
-    to the ``log_good`` protocol loop.
-    """
-    if not hasattr(measurements, "log_good_all"):
-        return None
-    values = np.asarray(measurements.log_good_all(), dtype=np.float64)
-    if values.shape != (n_paths,):
-        raise ValueError(
-            f"log_good_all returned shape {values.shape}, expected "
-            f"({n_paths},)"
-        )
-    return values
+__all__ = [
+    "PathGoodProvider",
+    "BatchPathGoodProvider",
+    "PathStateProvider",
+    "batch_provider",
+]
 
 
 @runtime_checkable
@@ -58,6 +45,57 @@ class PathGoodProvider(Protocol):
     def log_good_pair(self, path_a: int, path_b: int) -> float:
         """``log P(Y_Pi = 0, Y_Pj = 0)`` — the paper's ``y_ij``."""
         ...
+
+
+@runtime_checkable
+class BatchPathGoodProvider(Protocol):
+    """The vectorised face of :class:`PathGoodProvider`.
+
+    The Section-4 inference reads its right-hand side through these two
+    calls only; both in-repo providers implement them natively.
+    """
+
+    def log_good_all(self) -> np.ndarray:
+        """``y_i`` for every path, shape ``(n_paths,)``."""
+        ...
+
+    def log_good_pairs(self, pairs) -> np.ndarray:
+        """``y_ij`` for each row of an ``(m, 2)`` path-id array."""
+        ...
+
+
+class _ScalarProviderAdapter:
+    """Batch view of a provider that only speaks the scalar protocol."""
+
+    def __init__(self, measurements: PathGoodProvider, n_paths: int) -> None:
+        self._measurements = measurements
+        self._n_paths = n_paths
+
+    def log_good_all(self) -> np.ndarray:
+        return np.array(
+            [self._measurements.log_good(i) for i in range(self._n_paths)],
+            dtype=np.float64,
+        )
+
+    def log_good_pairs(self, pairs) -> np.ndarray:
+        pair_of = self._measurements.log_good_pair
+        return np.array(
+            [pair_of(int(a), int(b)) for a, b in pairs], dtype=np.float64
+        )
+
+
+def batch_provider(
+    measurements: PathGoodProvider, n_paths: int
+) -> BatchPathGoodProvider:
+    """*measurements* as a :class:`BatchPathGoodProvider`.
+
+    The one boundary between the two protocols: batch providers pass
+    through, scalar-only ones are wrapped in a per-path/per-pair loop
+    whose values are exactly the scalar calls' results.
+    """
+    if isinstance(measurements, BatchPathGoodProvider):
+        return measurements
+    return _ScalarProviderAdapter(measurements, n_paths)
 
 
 @runtime_checkable

@@ -18,7 +18,7 @@ import weakref
 
 import numpy as np
 
-from repro.core.interfaces import PathGoodProvider, batch_log_good_all
+from repro.core.interfaces import PathGoodProvider, batch_provider
 from repro.core.results import InferenceResult
 from repro.core.solvers import solve
 from repro.core.topology import Topology
@@ -66,12 +66,10 @@ def infer_congestion_single_path(
     the solution.
     """
     matrix = topology.routing_matrix()
-    values = batch_log_good_all(measurements, topology.n_paths)
-    if values is None:
-        values = np.array(
-            [measurements.log_good(path.id) for path in topology.paths],
-            dtype=np.float64,
-        )
+    values = np.asarray(
+        batch_provider(measurements, topology.n_paths).log_good_all(),
+        dtype=np.float64,
+    )
     if solver == "min_norm":
         # Min-norm least squares through the topology's cached SVD:
         # ``x = V Σ⁺ Uᵀ y``.  One factorisation serves every measurement

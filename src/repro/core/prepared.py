@@ -32,6 +32,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 
 import numpy as np
+from scipy import sparse
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.topology import Topology
@@ -155,6 +156,25 @@ def _row_vector(link_ids, n_links: int) -> np.ndarray:
     return row
 
 
+def _incidence_matrix(link_sets, n_links: int) -> sparse.csr_matrix:
+    """CSR ``rows × n_links`` 0/1 matrix with row ``r`` set on
+    ``link_sets[r]`` (COO triplets, columns ascending per row)."""
+    counts = np.array([len(links) for links in link_sets], dtype=np.int64)
+    columns = [sorted(links) for links in link_sets]
+    col_index = (
+        np.concatenate(columns).astype(np.int64)
+        if columns
+        else np.zeros(0, dtype=np.int64)
+    )
+    return sparse.csr_matrix(
+        (
+            np.ones(col_index.size, dtype=np.float64),
+            (np.repeat(np.arange(len(link_sets)), counts), col_index),
+        ),
+        shape=(len(link_sets), n_links),
+    )
+
+
 def _shared_link_pair_candidates(
     topology: Topology,
     eligible_mask: np.ndarray,
@@ -196,10 +216,12 @@ def _shared_link_pair_candidates(
 class PreparedTopology:
     """Everything the equation builder knows before any measurement.
 
-    Instances are immutable after :meth:`build` except for two lazily
-    computed, lock-guarded caches (the pair dependence mask and the
-    structural fingerprint).  They are therefore safe to share across
-    threads and across inference calls.
+    Instances are immutable after :meth:`build` except for three lazily
+    computed, lock-guarded caches (the pair dependence mask, the
+    structural fingerprint and the equation templates, one per
+    :class:`~repro.core.correlation_algorithm.AlgorithmOptions`).  They
+    are therefore safe to share across threads and across inference
+    calls.
 
     Attributes:
         topology: The measurement topology.
@@ -223,6 +245,7 @@ class PreparedTopology:
         "_tracker",
         "_dependent_mask",
         "_fingerprint",
+        "_templates",
         "_lock",
     )
 
@@ -246,7 +269,10 @@ class PreparedTopology:
         self._tracker = tracker
         self._dependent_mask: np.ndarray | None = None
         self._fingerprint: str | None = None
-        self._lock = threading.Lock()
+        self._templates: dict = {}
+        # Reentrant: a template build runs under the lock and reads
+        # the (lazily computed) dependence mask.
+        self._lock = threading.RLock()
 
     @classmethod
     def build(
@@ -300,6 +326,29 @@ class PreparedTopology:
                 union.data = np.minimum(union.data, 1.0)
                 self._dependent_mask = self._tracker.batch_dependent(union)
             return self._dependent_mask
+
+    def template(self, options):
+        """The equation template for *options* (built once, cached).
+
+        Row acceptance depends only on this prep and the options, never
+        on measured values, so one template serves every inference with
+        equal options.  Concurrent first calls build it once, under the
+        lock; every caller gets the same object.
+        """
+        # Imported here: the template module builds on this one.
+        from repro.core.streaming import EquationTemplate
+
+        with self._lock:
+            template = self._templates.get(options)
+            if template is None:
+                template = EquationTemplate.build(
+                    self.topology,
+                    self.correlation,
+                    options=options,
+                    prepared=self,
+                )
+                self._templates[options] = template
+            return template
 
     @property
     def fingerprint(self) -> str:

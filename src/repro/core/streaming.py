@@ -1,19 +1,21 @@
-"""Window-incremental inference: the streaming face of Section 4.
+"""The equation template and the window-incremental streaming engine.
 
-The batch pipeline rebuilds the full equation system for every call to
-:func:`~repro.core.correlation_algorithm.infer_congestion`.  But with the
-paper's ``"independent"`` selection (and with ``"all"``), *which* rows are
-accepted depends only on the prepared topology — acceptance is decided by
-rank tracking over rows derived from path link-id sets, never by the
-measured values.  The accepted row **structure** is therefore constant
-across measurement windows, and a streaming engine can pay for it once:
+With the paper's ``"independent"`` selection (and with ``"all"``),
+*which* Section-4 rows are accepted depends only on the topology, the
+correlation structure and the options — acceptance is decided by rank
+tracking over rows derived from path link-id sets, never by the
+measured values.  The accepted row **structure** is therefore built
+once and every inference pays only for its values:
 
-* :class:`EquationTemplate` runs the equation builder a single time
-  against a zero-valued structure probe, caches the assembled CSR matrix
-  and the per-row value sources (path id for Eq.-9 rows, path pair for
-  Eq.-10 rows), and thereafter re-derives only the right-hand-side vector
-  ``y`` from fresh measurements plus one solve — bit-identical to a full
-  :func:`infer_congestion` over the same observations.
+* :class:`EquationTemplate` runs the rank-tracked row selection a single
+  time, caches the assembled CSR matrix and the per-row value sources
+  (path id for Eq.-9 rows, path pair for Eq.-10 rows), and thereafter
+  gathers only the right-hand-side vector ``y`` from fresh measurements
+  plus one solve.  :class:`~repro.core.prepared.PreparedTopology` caches
+  one template per :class:`AlgorithmOptions`, and every consumer —
+  :func:`~repro.core.correlation_algorithm.infer_congestion`,
+  :func:`~repro.core.equations.build_equations`, the tomographer front
+  ends and the streaming engine below — reads through it.
 * :class:`StreamingTomography` wraps the template with per-window change
   detection: boolean verdicts against a probability threshold, onset /
   clear diffs between consecutive windows with their event timestamps,
@@ -25,73 +27,101 @@ and the detection-latency evaluation in :mod:`repro.eval.streaming`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.correlation import CorrelationStructure
 from repro.core.correlation_algorithm import AlgorithmOptions
-from repro.core.equations import build_equations
-from repro.core.interfaces import PathGoodProvider, batch_log_good_all
+from repro.core.interfaces import PathGoodProvider, batch_provider
 from repro.core.localization import LocalizationResult, localize_map
 from repro.core.prepared import (
     PreparedRegistry,
     PreparedTopology,
+    _incidence_matrix,
+    _row_vector,
     get_prepared,
 )
 from repro.core.results import InferenceResult
 from repro.core.solvers import solve
 from repro.core.topology import Topology
+from repro.exceptions import SolverError
+from repro.utils.rng import as_generator
 
 __all__ = ["EquationTemplate", "WindowVerdict", "StreamingTomography"]
 
 
-class _StructureProbe:
-    """Zero-valued measurement provider used to extract row structure.
-
-    With ``"independent"``/``"all"`` selection the builder's acceptance
-    decisions never read the measured values, so probing with zeros
-    yields exactly the row set any real measurement batch would get.
-    """
-
-    def __init__(self, n_paths: int) -> None:
-        self._n_paths = n_paths
-
-    def log_good_all(self) -> np.ndarray:
-        return np.zeros(self._n_paths, dtype=np.float64)
-
-    def log_good(self, path_id: int) -> float:
-        return 0.0
-
-    def log_good_pairs(self, pairs) -> np.ndarray:
-        return np.zeros(np.asarray(pairs).shape[0], dtype=np.float64)
-
-    def log_good_pair(self, path_a: int, path_b: int) -> float:
-        return 0.0
+def _accepted_pairs(
+    prep: PreparedTopology, options: AlgorithmOptions
+) -> tuple[list[tuple[int, int]], list[frozenset], int]:
+    """The Eq.-10 rows the selection keeps, their link sets and the
+    final rank (paper Section 4, rank-tracked pair examination)."""
+    topology = prep.topology
+    n_links = topology.n_links
+    keep_all = options.selection == "all"
+    tracker = prep.clone_tracker()
+    pairs: list[tuple[int, int]] = []
+    link_sets: list[frozenset] = []
+    if tracker.rank >= n_links and not keep_all:
+        return pairs, link_sets, tracker.rank
+    cap = options.max_pair_candidates
+    candidates = prep.candidates
+    pair_eligible = prep.pair_eligible
+    # The prefilter is skipped when the candidate cap binds (dropped rows
+    # would otherwise still count as "examined") and in "all" mode, which
+    # keeps dependent rows.
+    use_prefilter = not keep_all and 0 < candidates.shape[0] <= cap
+    keep = ~prep.dependent_mask() if use_prefilter else None
+    if options.pair_order_seed is not None:
+        # Permute the FULL candidate list, then drop the provably
+        # dependent rows: skipping them leaves the tracker unchanged, so
+        # acceptance matches examining every candidate in this order.
+        order = as_generator(options.pair_order_seed).permutation(
+            candidates.shape[0]
+        )
+        candidates = candidates[order]
+        pair_eligible = pair_eligible[order]
+        if keep is not None:
+            keep = keep[order]
+    if keep is not None:
+        candidates = candidates[keep]
+        pair_eligible = pair_eligible[keep]
+    for index in range(min(candidates.shape[0], cap)):
+        if not keep_all and tracker.rank >= n_links:
+            break
+        if not pair_eligible[index]:
+            continue
+        path_a, path_b = int(candidates[index, 0]), int(candidates[index, 1])
+        link_ids = frozenset(topology.paths[path_a].link_ids) | frozenset(
+            topology.paths[path_b].link_ids
+        )
+        added = tracker.try_add(_row_vector(link_ids, n_links))
+        if keep_all or added:
+            pairs.append((path_a, path_b))
+            link_sets.append(link_ids)
+    return pairs, link_sets, tracker.rank
 
 
 @dataclass(frozen=True)
 class EquationTemplate:
-    """The measurement-independent half of one equation system, cached.
+    """The measurement-independent half of one equation system.
 
-    Build once per ``(topology, correlation, options)`` with
-    :meth:`build`; then :meth:`infer` re-derives only the ``y`` vector
-    and solves — the per-window cost of the streaming engine.
+    Rows are the accepted Eq.-9 single-path rows (in eligible-path order)
+    followed by the accepted Eq.-10 pair rows (in acceptance order).
+    Build once per ``(topology, correlation, options)`` — normally
+    through :meth:`PreparedTopology.template`, which caches it — then
+    :meth:`infer` gathers only the ``y`` vector and solves.
     """
 
     topology: Topology
     options: AlgorithmOptions
-    matrix: object  # scipy.sparse.csr_matrix
-    single_positions: np.ndarray
+    matrix: object  # scipy.sparse.csr_matrix, rows × links
     single_paths: np.ndarray
-    pair_positions: np.ndarray
     pair_array: np.ndarray
-    n_single: int
-    n_pair: int
+    link_sets: tuple[frozenset, ...]
     rank: int
-    n_eligible: int
+    eligible_paths: tuple[int, ...]
     uncovered_links: frozenset[int]
-    fully_determined: bool
 
     @classmethod
     def build(
@@ -103,90 +133,72 @@ class EquationTemplate:
         prepared: PreparedTopology | None = None,
         registry: PreparedRegistry | None = None,
     ) -> "EquationTemplate":
-        """Extract the accepted row structure for this instance."""
+        """Select the accepted rows for this instance (uncached)."""
         options = options or AlgorithmOptions()
-        system = build_equations(
-            topology,
-            correlation,
-            _StructureProbe(topology.n_paths),
-            selection=options.selection,
-            max_pair_candidates=options.max_pair_candidates,
-            pair_order_seed=options.pair_order_seed,
-            prepared=prepared,
-            registry=registry,
+        prep = get_prepared(
+            topology, correlation, registry=registry, prepared=prepared
         )
-        matrix, _ = system.sparse_matrix()
-        single_positions, single_paths = [], []
-        pair_positions, pair_array = [], []
-        for position, row in enumerate(system.rows):
-            if row.kind == "path":
-                single_positions.append(position)
-                single_paths.append(row.paths[0])
-            else:
-                pair_positions.append(position)
-                pair_array.append(row.paths)
+        keep_all = options.selection == "all"
+        singles = [
+            (path_id, link_ids)
+            for path_id, link_ids, added in prep.singles
+            if keep_all or added
+        ]
+        pairs, pair_sets, rank = _accepted_pairs(prep, options)
+        link_sets = tuple(link_ids for _, link_ids in singles) + tuple(
+            pair_sets
+        )
+        n_links = topology.n_links
+        covered = frozenset().union(*link_sets)
         return cls(
             topology=topology,
             options=options,
-            matrix=matrix,
-            single_positions=np.asarray(single_positions, dtype=np.int64),
-            single_paths=np.asarray(single_paths, dtype=np.int64),
-            pair_positions=np.asarray(pair_positions, dtype=np.int64),
-            pair_array=(
-                np.asarray(pair_array, dtype=np.int64)
-                if pair_array
-                else np.zeros((0, 2), dtype=np.int64)
+            matrix=_incidence_matrix(link_sets, n_links),
+            single_paths=np.array(
+                [path_id for path_id, _ in singles], dtype=np.int64
             ),
-            n_single=system.n_single,
-            n_pair=system.n_pair,
-            rank=system.rank,
-            n_eligible=len(system.eligible_paths),
-            uncovered_links=system.uncovered_links,
-            fully_determined=system.is_fully_determined,
+            pair_array=np.array(pairs, dtype=np.int64).reshape(-1, 2),
+            link_sets=link_sets,
+            rank=rank,
+            eligible_paths=prep.eligible,
+            uncovered_links=frozenset(range(n_links)) - covered,
         )
 
     @property
+    def n_single(self) -> int:
+        return int(self.single_paths.size)
+
+    @property
+    def n_pair(self) -> int:
+        return int(self.pair_array.shape[0])
+
+    @property
     def n_rows(self) -> int:
-        return self.n_single + self.n_pair
+        return len(self.link_sets)
+
+    @property
+    def fully_determined(self) -> bool:
+        """True when the accepted rows reach full column rank."""
+        return self.rank >= self.topology.n_links
 
     def values(self, measurements: PathGoodProvider) -> np.ndarray:
-        """The right-hand-side ``y`` for one measurement window.
+        """The right-hand side ``y`` for one batch of measurements.
 
-        Bit-identical to the values :func:`build_equations` would record:
-        both gather ``log_good_all`` by path id and evaluate
-        ``log_good_pairs`` elementwise over the accepted pairs.
+        One ``log_good_all`` gather for the single rows and one
+        ``log_good_pairs`` call over the accepted pairs only.
         """
-        y = np.zeros(self.n_rows, dtype=np.float64)
-        if self.single_paths.size:
-            all_values = batch_log_good_all(
-                measurements, self.topology.n_paths
+        n_paths = self.topology.n_paths
+        provider = batch_provider(measurements, n_paths)
+        singles = np.asarray(provider.log_good_all(), dtype=np.float64)
+        if singles.shape != (n_paths,):
+            raise ValueError(
+                f"log_good_all returned shape {singles.shape}, expected "
+                f"({n_paths},)"
             )
-            if all_values is not None:
-                singles = all_values[self.single_paths]
-            else:
-                singles = np.array(
-                    [
-                        measurements.log_good(int(path_id))
-                        for path_id in self.single_paths
-                    ],
-                    dtype=np.float64,
-                )
-            y[self.single_positions] = singles
-        if self.pair_array.shape[0]:
-            if hasattr(measurements, "log_good_pairs"):
-                pairs = np.asarray(
-                    measurements.log_good_pairs(self.pair_array),
-                    dtype=np.float64,
-                )
-            else:
-                pairs = np.array(
-                    [
-                        measurements.log_good_pair(int(a), int(b))
-                        for a, b in self.pair_array
-                    ],
-                    dtype=np.float64,
-                )
-            y[self.pair_positions] = pairs
+        y = singles[self.single_paths]
+        if self.n_pair:
+            pairs = provider.log_good_pairs(self.pair_array)
+            y = np.concatenate([y, np.asarray(pairs, dtype=np.float64)])
         return y
 
     def infer(
@@ -195,15 +207,20 @@ class EquationTemplate:
         *,
         algorithm_label: str = "correlation",
     ) -> InferenceResult:
-        """One window's inference over the cached structure.
-
-        Bit-identical to :func:`infer_congestion` with the same options
-        over the same observations — the streaming correctness anchor.
-        """
+        """One inference over the cached structure: gather ``y``, solve
+        (exactly at full rank, by L1-error minimisation otherwise) and
+        convert to congestion probabilities."""
+        if not self.n_rows:
+            raise SolverError(
+                "no equations could be formed: every path involves "
+                "correlated links"
+            )
         values = self.values(measurements)
         solution, solver_used = solve(
             self.matrix, values, method=self.options.solver
         )
+        # Solution entries are log-probabilities and the solver enforces
+        # <= 0, but round-off can leave tiny positive values.
         solution = np.minimum(solution, 0.0)
         probabilities = np.clip(1.0 - np.exp(solution), 0.0, 1.0)
         return InferenceResult(
@@ -216,7 +233,7 @@ class EquationTemplate:
             rank=self.rank,
             solver=solver_used,
             diagnostics={
-                "n_eligible_paths": self.n_eligible,
+                "n_eligible_paths": len(self.eligible_paths),
                 "n_links": self.topology.n_links,
                 "fully_determined": self.fully_determined,
             },
@@ -297,7 +314,6 @@ class StreamingTomography:
         self._registry = registry
         self._algorithm_label = algorithm_label
         self._prepared: PreparedTopology | None = None
-        self._template: EquationTemplate | None = None
         self._previous: np.ndarray | None = None
         self._window_index = 0
 
@@ -324,14 +340,7 @@ class StreamingTomography:
 
     def template(self) -> EquationTemplate:
         """The cached equation structure (built on first use)."""
-        if self._template is None:
-            self._template = EquationTemplate.build(
-                self._topology,
-                self._correlation,
-                options=self._options,
-                prepared=self.prepare(),
-            )
-        return self._template
+        return self.prepare().template(self._options)
 
     def update(self, observations: PathGoodProvider) -> WindowVerdict:
         """Infer over the current history and diff against last window."""

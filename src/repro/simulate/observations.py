@@ -170,7 +170,8 @@ class PathObservations:
 
     @property
     def path_states(self) -> np.ndarray:
-        """The raw snapshot × path boolean matrix (read-only view)."""
+        """The raw snapshot × path boolean matrix (read-only view, valid
+        until the next :meth:`append_window`, which may move the rows)."""
         view = self._states.view()
         view.flags.writeable = False
         return view
@@ -272,14 +273,25 @@ class PathObservations:
             self._assert_matches_recompute()
 
     def _reserve(self, rows: int) -> None:
-        """Ensure the row buffers can hold ``rows`` more snapshots."""
+        """Ensure the row buffers can hold ``rows`` more snapshots.
+
+        Sized from the live rows, not the old capacity, so a sliding
+        window's buffers stay within ``2 * (max_window + rows)`` rows
+        however many rows have streamed through; when the live rows
+        plus the new ones already fit, they are moved to the front in
+        place instead.
+        """
         capacity = self._buf.shape[0]
-        if self._stop + rows <= capacity and self._buf.flags.writeable:
+        writeable = self._buf.flags.writeable
+        if self._stop + rows <= capacity and writeable:
             return
         valid = self.n_snapshots
-        new_capacity = max(2 * capacity, valid + rows, 16)
-        buf = np.empty((new_capacity, self._n_paths), dtype=bool)
-        good_buf = np.empty((new_capacity, self._n_paths), dtype=bool)
+        if writeable and valid + rows <= capacity:
+            buf, good_buf = self._buf, self._good_buf
+        else:
+            new_capacity = max(2 * (valid + rows), 16)
+            buf = np.empty((new_capacity, self._n_paths), dtype=bool)
+            good_buf = np.empty((new_capacity, self._n_paths), dtype=bool)
         buf[:valid] = self._buf[self._start : self._stop]
         good_buf[:valid] = self._good_buf[self._start : self._stop]
         self._buf = buf

@@ -133,3 +133,40 @@ class TestDegenerateStructures:
             model.link_marginals(),
             atol=1e-6,
         )
+
+
+class TestOptionsValidation:
+    """The options are the template cache key; bad values never get in."""
+
+    def test_unknown_selection_rejected(self):
+        with pytest.raises(ValueError, match="selection"):
+            AlgorithmOptions(selection="greedy")
+
+    def test_unknown_solver_rejected(self):
+        with pytest.raises(ValueError, match="unknown solver"):
+            AlgorithmOptions(solver="simplex")
+
+    @pytest.mark.parametrize("solver", ["l1", "least_squares", "auto"])
+    def test_known_solvers_accepted(self, solver):
+        assert AlgorithmOptions(solver=solver).solver == solver
+
+    @pytest.mark.parametrize(
+        "seed", [np.random.default_rng(0), 1.5, "7"]
+    )
+    def test_non_integer_pair_order_seed_rejected(self, seed):
+        with pytest.raises(TypeError, match="pair_order_seed"):
+            AlgorithmOptions(pair_order_seed=seed)
+
+    @pytest.mark.parametrize("seed", [None, 0, 11, np.int64(3)])
+    def test_integer_or_none_seed_accepted(self, seed):
+        assert AlgorithmOptions(pair_order_seed=seed).pair_order_seed == seed
+
+    def test_equal_options_share_one_template(self, instance_1a):
+        from repro.core.prepared import PreparedTopology
+
+        prep = PreparedTopology.build(
+            instance_1a.topology, instance_1a.correlation
+        )
+        first = prep.template(AlgorithmOptions(pair_order_seed=3))
+        assert prep.template(AlgorithmOptions(pair_order_seed=3)) is first
+        assert prep.template(AlgorithmOptions()) is not first

@@ -219,6 +219,55 @@ class TestPreparedRegistry:
         assert len(registry) == 1
 
 
+class TestTemplateCache:
+    N_THREADS = 8
+
+    @pytest.mark.timeout(120)
+    def test_concurrent_requests_build_one_template(
+        self, brite_small, monkeypatch
+    ):
+        from repro.core.correlation_algorithm import AlgorithmOptions
+        from repro.core.streaming import EquationTemplate
+
+        instance = brite_small.instance
+        prep = PreparedTopology.build(
+            instance.topology, instance.correlation
+        )
+        builds = []
+        original = EquationTemplate.__dict__["build"]
+
+        def counting_build(cls, *args, **kwargs):
+            builds.append(threading.get_ident())
+            return original.__func__(cls, *args, **kwargs)
+
+        barrier = threading.Barrier(self.N_THREADS)
+        templates = [None] * self.N_THREADS
+        errors: list[BaseException] = []
+
+        def worker(index: int) -> None:
+            try:
+                barrier.wait(timeout=60)
+                templates[index] = prep.template(AlgorithmOptions())
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        monkeypatch.setattr(
+            EquationTemplate, "build", classmethod(counting_build)
+        )
+        threads = [
+            threading.Thread(target=worker, args=(index,))
+            for index in range(self.N_THREADS)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not errors, errors
+        assert len(builds) == 1
+        assert all(template is templates[0] for template in templates)
+        assert templates[0] is not None
+
+
 class TestThreadSafetyRegression:
     """N threads alternating two topologies == serial, bit for bit.
 

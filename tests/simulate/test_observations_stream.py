@@ -116,6 +116,29 @@ class TestEviction:
         assert observations.n_evicted == full.shape[0] - 7
         assert_same_state(observations, PathObservations(full[-7:]))
 
+    def test_sliding_window_buffer_stays_bounded(self):
+        """Buffers are sized from the live rows: a long sliding-window
+        stream must not grow them with the total rows appended."""
+        max_window, rows = 2000, 200
+        windows = random_windows(5, 200, n_paths=8, rows=(rows, rows))
+        observations = PathObservations(windows[0], max_window=max_window)
+        observations.joint_good_gram()
+        largest = 0
+        for window in windows[1:]:
+            observations.append_window(window)
+            largest = max(largest, observations._buf.shape[0])
+        assert largest <= 2 * (max_window + rows)
+        full = np.concatenate(windows, axis=0)
+        scratch = PathObservations(full[-max_window:])
+        assert np.array_equal(observations.path_states, scratch.path_states)
+        assert (
+            observations.log_good_all().tobytes()
+            == scratch.log_good_all().tobytes()
+        )
+        assert np.array_equal(
+            observations.joint_good_gram(), scratch.joint_good_gram()
+        )
+
     def test_max_window_applies_at_construction(self):
         states = (as_generator(4).random((10, 3)) < 0.5)
         observations = PathObservations(states, max_window=4)

@@ -1,7 +1,9 @@
 """Unit tests for the exact path-state oracle."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from repro.exceptions import MeasurementError
@@ -79,3 +81,33 @@ class TestGoodProbabilities:
         assert oracle.p_good(0) == 0.0
         assert math.isfinite(oracle.log_good(0))
         assert oracle.log_good(0) < -600
+
+
+class TestBatchProtocol:
+    def test_log_good_all_equals_scalar_bitwise(self, oracle_1a):
+        batch = oracle_1a.log_good_all()
+        assert batch.shape == (oracle_1a.n_paths,)
+        assert batch.tolist() == [
+            oracle_1a.log_good(path_id)
+            for path_id in range(oracle_1a.n_paths)
+        ]
+
+    def test_log_good_pairs_equals_scalar_bitwise(self, oracle_1a):
+        pairs = np.array(
+            list(itertools.product(range(oracle_1a.n_paths), repeat=2))
+        )
+        assert oracle_1a.log_good_pairs(pairs).tolist() == [
+            oracle_1a.log_good_pair(int(a), int(b)) for a, b in pairs
+        ]
+        assert oracle_1a.log_good_pairs(np.zeros((0, 2))).shape == (0,)
+
+    def test_floor_applies_in_batch(self):
+        oracle = ExactPathStateDistribution({0b1: 1.0}, n_paths=2)
+        batch = oracle.log_good_all()
+        assert batch.tolist() == [oracle.log_good(0), oracle.log_good(1)]
+        assert batch[1] == 0.0
+        assert oracle.log_good_pairs([[0, 1]])[0] < -600
+
+    def test_direct_construction_infers_path_count(self):
+        oracle = ExactPathStateDistribution({0: 0.5, 0b100: 0.5})
+        assert oracle.n_paths == 3
