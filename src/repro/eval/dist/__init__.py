@@ -1,12 +1,15 @@
 """Distributed sweep backend: coordinator, workers, wire protocol.
 
-The eval engine's task lists are explicit and picklable, so scaling a
-sweep beyond one host is a scheduling problem, not an algorithmic one:
+The eval engine's task lists are explicit and carry their own seeds,
+so scaling a sweep beyond one host is a scheduling problem, not an
+algorithmic one:
 :class:`RemoteExecutor` (the coordinator) plugs into
 :func:`repro.eval.parallel.run_scenario_tasks` exactly like the serial
 and process-pool executors, and :class:`WorkerServer` turns any
-reachable Python process into a worker.  See
-:mod:`repro.eval.dist.protocol` for the framing,
+reachable Python process into a worker.  There is one wire: JSON-header
+frames carrying schema'd binary payloads (:mod:`repro.eval.dist.codec`)
+over the socket or same-host shared-memory rings, with no pickle in
+either direction.  See :mod:`repro.eval.dist.protocol` for the framing,
 :mod:`repro.eval.dist.coordinator` for the fault-tolerant scheduler, and
 ``docs/ARCHITECTURE.md`` for the full design.
 """
@@ -64,18 +67,14 @@ from repro.eval.dist.launch import (
     WorkerLauncher,
 )
 from repro.eval.dist.protocol import (
-    AUTH_PROTOCOL_VERSION,
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
     MAGIC,
-    MAGIC_V4,
-    PROTOCOL_BASE_VERSION,
     PROTOCOL_VERSION,
+    RETIRED_MAGIC,
     ConnectionClosed,
     ProtocolError,
     TlsMismatchError,
     buffer_payload,
-    negotiate_version,
+    check_version,
     payload_to_buffer,
     read_magic,
     recv_json_message,
@@ -119,12 +118,8 @@ __all__ = [
     "LaunchedWorker",
     "LaunchError",
     "PROTOCOL_VERSION",
-    "PROTOCOL_BASE_VERSION",
-    "CAPACITY_PROTOCOL_VERSION",
-    "AUTH_PROTOCOL_VERSION",
-    "CODEC_PROTOCOL_VERSION",
     "MAGIC",
-    "MAGIC_V4",
+    "RETIRED_MAGIC",
     "AUTH_MAGIC",
     "ProtocolError",
     "ConnectionClosed",
@@ -132,7 +127,7 @@ __all__ = [
     "DistSecurityError",
     "AuthError",
     "CodecError",
-    "negotiate_version",
+    "check_version",
     "read_magic",
     "send_message",
     "recv_message",

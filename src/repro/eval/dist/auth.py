@@ -1,44 +1,42 @@
 """Shared-secret authentication for the distributed sweep wire.
 
-The dist protocol ships pickles, so any socket that completes a
-handshake can make the receiving process execute attacker-controlled
-bytecode.  This module closes that hole for fleets that cannot live on
-a loopback/private interface: when a shared secret is configured, every
-connection must complete an HMAC-SHA256 challenge/response **before a
-single pickled byte is read** on either side.
+Any socket that completes a session handshake can make a worker spend
+compute, and a worker parses whatever frames follow.  This module
+closes that door for fleets that cannot live on a loopback/private
+interface: when a shared secret is configured, every connection must
+complete an HMAC-SHA256 challenge/response **before a single session
+frame is parsed** on either side.
 
-Auth frames use their own fixed binary framing — no pickle anywhere::
+Auth frames use their own fixed binary framing::
 
     AUTH_MAGIC (4 bytes) | kind (u8) | body length (u32 BE) | body
 
-and the handshake is four frames (protocol version 3)::
+and the handshake is four frames::
 
     coordinator                         worker
     ----------------------------------- ----------------------------
-    HELLO  nonce_c, protocol_max  ---->
-                                  <---- CHALLENGE  nonce_w, protocol_max
+    HELLO  nonce_c, protocol      ---->
+                                  <---- CHALLENGE  nonce_w, protocol
     PROVE  HMAC(secret, "C"|nonce_c|nonce_w|version)  ---->
                                   <---- OK  HMAC(secret, "W"|nonce_c|nonce_w|version)
 
-``version`` is ``min(both protocol_max)`` — the version the session
-will negotiate in the subsequent ``init``/``ready`` exchange — so a
-man-in-the-middle cannot downgrade the session below what both ends
-speak (both sides re-check the ``init``-negotiated version against the
-authenticated one).  Both nonces are fresh 16-byte values per
-connection, so a recorded handshake replays against a *new* challenge
-and its MAC no longer verifies: replay is rejected without any state.
-The MACs are mutual — the worker refuses to compute before the
-coordinator proves knowledge, and the coordinator refuses to ship the
-(pickled) ``init`` payload before the worker proves it back.
+``protocol`` is each side's :data:`~repro.eval.dist.protocol.PROTOCOL_VERSION`;
+a peer announcing any other version is refused, and ``version`` — the
+one both sides speak — is bound into both MACs, so a transcript cannot
+authenticate a session at another version.  Both nonces are fresh
+16-byte values per connection, so a recorded handshake replays against
+a *new* challenge and its MAC no longer verifies: replay is rejected
+without any state.  The MACs are mutual — the worker refuses to compute
+before the coordinator proves knowledge, and the coordinator refuses to
+ship the sweep payload before the worker proves it back.
 
 Failure behaviour is fail-closed and symmetric:
 
-* secret on the worker only → the worker refuses any legacy frame at
-  the magic bytes (nothing read, nothing unpickled) and answers with a
-  plain error frame naming the requirement;
-* secret on the coordinator only → the worker (v3, secretless) rejects
-  the HELLO with a reason; older workers simply drop the connection —
-  either way the coordinator raises
+* secret on the worker only → the worker refuses any session frame at
+  the magic bytes (nothing parsed) and answers with a plain error frame
+  naming the requirement;
+* secret on the coordinator only → the secretless worker rejects the
+  HELLO with a reason, and the coordinator raises
   :class:`~repro.exceptions.DistSecurityError` instead of proceeding;
 * wrong secret → ``REJECT`` after the PROVE frame; the reason string
   never says *which* side of the MAC mismatched.
@@ -64,13 +62,13 @@ import pathlib
 import struct
 
 from repro.eval.dist.protocol import (
-    AUTH_PROTOCOL_VERSION,
     MAGIC,
     PROTOCOL_VERSION,
     ConnectionClosed,
     ProtocolError,
     _recv_exact,
     bad_magic_error,
+    check_version,
 )
 from repro.exceptions import DistSecurityError
 
@@ -85,12 +83,12 @@ __all__ = [
     "normalize_secret",
 ]
 
-#: Distinct magic so a server can dispatch auth vs. legacy frames from
+#: Distinct magic so a server can dispatch auth vs. session frames from
 #: the first 4 bytes of a connection.
 AUTH_MAGIC = b"RTA3"
 
 _AUTH_PREFIX = struct.Struct("!4sBI")  # magic | kind | body length
-_HELLO_BODY = struct.Struct("!16sI")  # nonce | protocol_max
+_HELLO_BODY = struct.Struct("!16sI")  # nonce | protocol version
 
 _HELLO = 1
 _CHALLENGE = 2
@@ -126,9 +124,9 @@ def compute_mac(
 ) -> bytes:
     """The handshake proof for one role (``b"C"`` / ``b"W"``).
 
-    Binds both per-connection nonces and the negotiated protocol
-    version, so a transcript neither replays on a fresh connection nor
-    authenticates a downgraded session.
+    Binds both per-connection nonces and the protocol version, so a
+    transcript neither replays on a fresh connection nor authenticates
+    a session at another version.
     """
     message = (
         _MAC_CONTEXT
@@ -155,14 +153,14 @@ def _recv_auth(sock, *, preread_magic: bytes | None = None):
     else:
         magic = preread_magic
     if magic == MAGIC:
-        # The peer answered the auth exchange with a legacy pickled
-        # frame.  Refusing to parse it (this path runs pre-trust) costs
-        # the detail, but the situation is unambiguous enough to guide:
-        # a TLS worker refusing a plaintext socket, or a peer that does
+        # The peer answered the auth exchange with a session frame.
+        # Refusing to parse it (this path runs pre-trust) costs the
+        # detail, but the situation is unambiguous enough to guide: a
+        # TLS worker refusing a plaintext socket, or a peer that does
         # not speak the auth handshake at all.
         raise AuthError(
-            "peer answered the authenticated handshake with a legacy "
-            "plaintext frame — it refuses auth or requires TLS; align "
+            "peer answered the authenticated handshake with a plaintext "
+            "session frame — it refuses auth or requires TLS; align "
             "the secret and TLS configuration on both sides"
         )
     if magic != AUTH_MAGIC:
@@ -189,65 +187,50 @@ def _unpack_hello_body(kind: int, body: bytes) -> tuple[bytes, int]:
             f"auth {_KIND_NAMES.get(kind, kind)} body must be "
             f"{_HELLO_BODY.size} bytes, got {len(body)}"
         )
-    nonce, protocol_max = _HELLO_BODY.unpack(body)
-    return nonce, protocol_max
+    nonce, version = _HELLO_BODY.unpack(body)
+    return nonce, version
 
 
-def _auth_version(peer_max: int, local_max: int) -> int:
-    """Session version an authenticated connection will run at."""
-    version = min(local_max, peer_max)
-    if version < AUTH_PROTOCOL_VERSION:
-        raise AuthError(
-            f"peer's highest protocol version ({peer_max}) predates "
-            f"authenticated sessions (version {AUTH_PROTOCOL_VERSION}); "
-            "upgrade the peer or remove the shared secret"
-        )
-    return version
+def _require_version(peer_version: int, peer: str) -> None:
+    """Raise :class:`AuthError` for a peer at another protocol version."""
+    try:
+        check_version(peer_version, peer=peer)
+    except ProtocolError as exc:
+        raise AuthError(str(exc)) from None
 
 
-def _clamp_local_max(protocol_max: int | None) -> int:
-    if protocol_max is None:
-        return PROTOCOL_VERSION
-    return min(PROTOCOL_VERSION, protocol_max)
-
-
-def client_handshake(
-    sock, secret: bytes, *, protocol_max: int | None = None
-) -> int:
+def client_handshake(sock, secret: bytes) -> int:
     """Run the coordinator side of the handshake; returns the version.
 
     Raises :class:`AuthError` on refusal/mismatch and
-    :class:`ProtocolError` on a malformed exchange.  Nothing pickled is
-    read at any point; the caller only sends the ``init`` payload after
-    this returns (i.e. after the worker proved secret knowledge).
-    ``protocol_max`` pins the advertised maximum below this build's
-    (wire-version pinning); the MAC then binds the pinned version — the
-    same one the subsequent ``init`` will offer — so the downgrade check
-    stays sound under pinning.
+    :class:`ProtocolError` on a malformed exchange.  Nothing but
+    fixed-layout auth frames is read at any point; the caller only
+    sends the sweep payload after this returns (i.e. after the worker
+    proved secret knowledge).
     """
     try:
-        return _client_handshake(sock, secret, _clamp_local_max(protocol_max))
+        return _client_handshake(sock, secret)
     except (ConnectionResetError, BrokenPipeError) as exc:
         # A worker that chokes on the auth magic closes with our hello
         # bytes unread, which surfaces here as a reset rather than a
         # clean EOF.
         raise AuthError(
             "worker reset the connection during the shared-secret "
-            "handshake — it is an older (pre-v3) build, or refused "
-            "the auth hello"
+            "handshake — it does not speak the auth handshake, or "
+            "refused the auth hello"
         ) from exc
 
 
-def _client_handshake(sock, secret: bytes, local_max: int) -> int:
+def _client_handshake(sock, secret: bytes) -> int:
     nonce_c = os.urandom(NONCE_BYTES)
-    _send_auth(sock, _HELLO, _HELLO_BODY.pack(nonce_c, local_max))
+    _send_auth(sock, _HELLO, _HELLO_BODY.pack(nonce_c, PROTOCOL_VERSION))
     try:
         kind, body = _recv_auth(sock)
     except ConnectionClosed:
         raise AuthError(
             "worker closed the connection during the shared-secret "
-            "handshake — it is an older (pre-v3) build, or refused the "
-            "auth hello"
+            "handshake — it does not speak the auth handshake, or "
+            "refused the auth hello"
         ) from None
     if kind == _REJECT:
         raise AuthError(
@@ -258,10 +241,12 @@ def _client_handshake(sock, secret: bytes, local_max: int) -> int:
             f"expected an auth challenge, got "
             f"{_KIND_NAMES.get(kind, kind)!r}"
         )
-    nonce_w, worker_max = _unpack_hello_body(kind, body)
-    version = _auth_version(worker_max, local_max)
+    nonce_w, worker_version = _unpack_hello_body(kind, body)
+    _require_version(worker_version, "worker")
     _send_auth(
-        sock, _PROVE, compute_mac(secret, b"C", nonce_c, nonce_w, version)
+        sock,
+        _PROVE,
+        compute_mac(secret, b"C", nonce_c, nonce_w, PROTOCOL_VERSION),
     )
     try:
         kind, body = _recv_auth(sock)
@@ -280,32 +265,26 @@ def _client_handshake(sock, secret: bytes, local_max: int) -> int:
         raise ProtocolError(
             f"expected auth ok, got {_KIND_NAMES.get(kind, kind)!r}"
         )
-    expected = compute_mac(secret, b"W", nonce_c, nonce_w, version)
+    expected = compute_mac(secret, b"W", nonce_c, nonce_w, PROTOCOL_VERSION)
     if len(body) != MAC_BYTES or not hmac.compare_digest(body, expected):
         raise AuthError(
             "worker failed to prove knowledge of the shared secret; "
             "refusing to ship the sweep payload"
         )
-    return version
+    return PROTOCOL_VERSION
 
 
 def server_handshake(
-    sock,
-    secret: bytes | None,
-    *,
-    preread_magic: bytes | None = None,
-    protocol_max: int | None = None,
+    sock, secret: bytes | None, *, preread_magic: bytes | None = None
 ) -> int:
     """Run the worker side of the handshake; returns the version.
 
     ``secret=None`` (a coordinator demanding auth from a secretless
-    worker) rejects with a reason instead of hanging the peer.  A wrong
-    proof is rejected with a deliberately symmetric message, before any
-    payload frame is read.  ``protocol_max`` pins the advertised
-    maximum below this build's, mirroring
-    :func:`client_handshake`'s pinning semantics.
+    worker) and a coordinator at another protocol version are rejected
+    with a reason instead of hanging the peer.  A wrong proof is
+    rejected with a deliberately symmetric message, before any session
+    frame is read.
     """
-    local_max = _clamp_local_max(protocol_max)
     kind, body = _recv_auth(sock, preread_magic=preread_magic)
     if kind != _HELLO:
         raise ProtocolError(
@@ -322,18 +301,22 @@ def server_handshake(
             "coordinator requested authentication but this worker has "
             "no shared secret configured"
         )
-    nonce_c, coordinator_max = _unpack_hello_body(kind, body)
-    version = _auth_version(coordinator_max, local_max)
+    nonce_c, coordinator_version = _unpack_hello_body(kind, body)
+    try:
+        _require_version(coordinator_version, "coordinator")
+    except AuthError as exc:
+        _send_auth(sock, _REJECT, str(exc).encode("utf-8"))
+        raise
     nonce_w = os.urandom(NONCE_BYTES)
     _send_auth(
-        sock, _CHALLENGE, _HELLO_BODY.pack(nonce_w, local_max)
+        sock, _CHALLENGE, _HELLO_BODY.pack(nonce_w, PROTOCOL_VERSION)
     )
     kind, body = _recv_auth(sock)
     if kind != _PROVE:
         raise ProtocolError(
             f"expected an auth proof, got {_KIND_NAMES.get(kind, kind)!r}"
         )
-    expected = compute_mac(secret, b"C", nonce_c, nonce_w, version)
+    expected = compute_mac(secret, b"C", nonce_c, nonce_w, PROTOCOL_VERSION)
     if len(body) != MAC_BYTES or not hmac.compare_digest(body, expected):
         _send_auth(sock, _REJECT, b"shared-secret authentication failed")
         raise AuthError(
@@ -341,9 +324,11 @@ def server_handshake(
             "rejected before any payload was read"
         )
     _send_auth(
-        sock, _OK, compute_mac(secret, b"W", nonce_c, nonce_w, version)
+        sock,
+        _OK,
+        compute_mac(secret, b"W", nonce_c, nonce_w, PROTOCOL_VERSION),
     )
-    return version
+    return PROTOCOL_VERSION
 
 
 def normalize_secret(secret) -> bytes | None:

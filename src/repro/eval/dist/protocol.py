@@ -1,18 +1,19 @@
 """Length-prefixed socket framing for the distributed sweep backend.
 
-Every message is one frame::
+Every session message is one frame::
 
     MAGIC (4 bytes) | header length (u64 BE) | payload length (u64 BE)
-    | pickled header dict | raw payload bytes
+    | UTF-8 JSON header | raw payload bytes
 
-The header is a small pickled ``dict`` with at least a ``"type"`` key;
-the payload is an opaque byte string whose meaning the header declares.
-Chunk results reuse the engine's packed float64 transport
-(:func:`repro.eval.parallel._pack_error_dicts`): the descriptor rides in
-the header and the concatenated error vectors ride as the raw payload —
-one contiguous buffer per chunk, no per-trial pickling, and
-:func:`payload_to_buffer` rewraps it on the other side without an extra
-copy.
+The header is a JSON object with at least a ``"type"`` key; the payload
+is an opaque byte string whose meaning the header declares — a
+schema'd codec record (:mod:`repro.eval.dist.codec`) for the sweep
+context and chunk task lists, and the engine's packed float64 transport
+(:func:`repro.eval.parallel._pack_error_dicts`) for chunk results: the
+result descriptor rides in the header and the concatenated error
+vectors ride as the raw payload — one contiguous buffer per chunk, and
+:func:`payload_to_buffer` rewraps it on the other side without an
+extra copy.  Nothing on the wire is ever unpickled.
 
 Sanity limits (:data:`MAX_HEADER_BYTES`, :data:`MAX_PAYLOAD_BYTES`) make
 a corrupt or foreign stream fail fast with :class:`ProtocolError`
@@ -21,53 +22,27 @@ closes *between* frames raises :class:`ConnectionClosed` (a clean
 end-of-session); one that closes *inside* a frame raises the plain
 :class:`ProtocolError` (a torn transfer).
 
-Version negotiation (compatible with version-1 peers on the wire):
+Versioning: the coordinator's first session frame (``init``) carries
+``protocol``, and the worker serves it only when that equals
+:data:`PROTOCOL_VERSION` — every peer ships from this repository, so
+there is exactly one wire and no negotiation.  A mismatched ``init``
+gets an ``error`` frame naming both versions.  Frames with the retired
+pickled-header magic (:data:`RETIRED_MAGIC`) are refused at the magic
+bytes and drained unparsed.
 
-* the coordinator's ``init`` frame carries ``protocol`` — always
-  :data:`PROTOCOL_BASE_VERSION`, the baseline every peer speaks, which
-  is exactly what a version-1 worker expects to see — plus
-  ``protocol_max``, the highest version the coordinator understands
-  (a version-1 worker ignores the unknown key);
-* the worker replies ``ready`` with ``protocol`` set to
-  ``min(worker_max, coordinator_max)`` (:func:`negotiate_version`); a
-  version-1 worker, which never saw ``protocol_max``, replies ``1``;
-* features gate on the *negotiated* version: at
-  :data:`CAPACITY_PROTOCOL_VERSION` and above the ``ready`` frame also
-  advertises ``capacity`` (parallel chunk slots) and the coordinator
-  may pipeline up to that many chunk frames before blocking on
-  results.  Against a version-1 peer both sides fall back to the
-  strict one-chunk-in-flight request/response loop, so mixed fleets
-  keep working during a rolling upgrade.
-
-Trust model: legacy (v1–v3) frames carry pickles, so an unsecured
-legacy session is for trusted clusters only — run workers on machines
-you control, reachable only from the coordinator (bind to loopback or a
-private interface).  Version 3 (:data:`AUTH_PROTOCOL_VERSION`) adds a
-wire-security layer for everything else: a shared-secret HMAC handshake
-that runs *before* any pickled byte is read (see
-:mod:`repro.eval.dist.auth`) and optional TLS on the socket itself
-(see :mod:`repro.eval.dist.certs`).  A worker with a secret configured
-refuses v1/v2 (and unauthenticated v3) peers at the magic bytes —
-before reading, let alone unpickling, a header.
-
-Version 4 (:data:`CODEC_PROTOCOL_VERSION`) removes pickle from the
-session entirely: v4 frames (:data:`MAGIC_V4`) carry a canonical-JSON
-header and a schema'd binary payload (:mod:`repro.eval.dist.codec`), so
-an authenticated v4 session deserializes **zero** pickles in either
-direction.  Negotiation stays bidirectional: a v4 coordinator opens
-with the legacy pickled ``init`` frame (real payload, ``protocol_max``
-4); a v4 worker negotiates 4, discards that pickled payload *unparsed*,
-and answers with a v4 ``ready`` frame — the frame family itself is the
-acknowledgement — while a v1–v3 worker answers with a legacy ``ready``
-and the session continues exactly as before.  Authenticated sessions
-know the HMAC-bound version before any frame, so a bound-v4 session is
-pickle-free from the first byte.
+Trust model: run unsecured workers on machines you control, reachable
+only from the coordinator (bind to loopback or a private interface).
+Everything else adds the wire-security layer: a shared-secret HMAC
+handshake that runs *before* any session frame is parsed (see
+:mod:`repro.eval.dist.auth`) and optional TLS on the socket itself (see
+:mod:`repro.eval.dist.certs`).  A worker with a secret configured
+refuses unauthenticated peers at the magic bytes — before reading a
+header.
 """
 
 from __future__ import annotations
 
 import json
-import pickle
 import socket
 import struct
 
@@ -78,20 +53,16 @@ from repro.exceptions import DistSecurityError
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "PROTOCOL_BASE_VERSION",
-    "CAPACITY_PROTOCOL_VERSION",
-    "AUTH_PROTOCOL_VERSION",
-    "CODEC_PROTOCOL_VERSION",
     "MAGIC",
-    "MAGIC_V4",
+    "RETIRED_MAGIC",
     "MAX_HEADER_BYTES",
     "MAX_PAYLOAD_BYTES",
     "ProtocolError",
     "ConnectionClosed",
     "TlsMismatchError",
     "bad_magic_error",
+    "check_version",
     "disable_nagle",
-    "negotiate_version",
     "read_magic",
     "send_message",
     "recv_message",
@@ -101,38 +72,18 @@ __all__ = [
     "payload_to_buffer",
 ]
 
-#: Wire baseline every peer speaks; ``init`` frames always carry it in
-#: the ``protocol`` key so version-1 workers accept the handshake.
-PROTOCOL_BASE_VERSION = 1
-
-#: Highest protocol version this build understands.
+#: The wire protocol version; a peer speaking any other is refused.
 PROTOCOL_VERSION = 4
 
-#: First version whose ``ready`` frame advertises a worker capacity and
-#: whose sessions may have several chunks in flight at once.
-CAPACITY_PROTOCOL_VERSION = 2
-
-#: First version that supports the shared-secret auth handshake
-#: (:mod:`repro.eval.dist.auth`).  Authenticated sessions are always
-#: negotiated at this version or above; a peer that cannot speak it is
-#: refused whenever a secret is configured.
-AUTH_PROTOCOL_VERSION = 3
-
-#: First version whose session frames are pickle-free: JSON headers on
-#: the :data:`MAGIC_V4` framing and schema'd binary payloads
-#: (:mod:`repro.eval.dist.codec`).  Sessions below this version use the
-#: legacy pickled-header framing on :data:`MAGIC`.
-CODEC_PROTOCOL_VERSION = 4
-
-MAGIC = b"RTD1"
-#: Frame magic of the v4 (JSON-header) frame family.  Distinct from the
-#: legacy magic so the first reply frame of a session identifies the
-#: family without any out-of-band signal.
-MAGIC_V4 = b"RTD4"
-_FRAME = struct.Struct("!4sQQ")
+#: Frame magic of every session frame.
+MAGIC = b"RTD4"
+#: Magic of the retired pickled-header framing.  Recognised only so a
+#: worker can refuse such a frame at the magic bytes and drain it
+#: unparsed.
+RETIRED_MAGIC = b"RTD1"
 _FRAME_REST = struct.Struct("!QQ")  # the two lengths after the magic
 
-#: Header pickles are task lists at most; 64 MiB is generous.
+#: Headers are small control dicts; 64 MiB is generous.
 MAX_HEADER_BYTES = 64 * 1024 * 1024
 #: Result buffers scale with chunk size; 4 GiB is far beyond any sweep.
 MAX_PAYLOAD_BYTES = 4 * 1024 * 1024 * 1024
@@ -146,41 +97,20 @@ class ConnectionClosed(ProtocolError):
     """The peer closed the connection cleanly at a frame boundary."""
 
 
-def negotiate_version(init_header: dict, *, limit: int | None = None) -> int:
-    """Pick the session version from a coordinator's ``init`` header.
-
-    ``protocol`` is the baseline the coordinator requires and
-    ``protocol_max`` (absent from version-1 coordinators, defaulting to
-    the baseline) the highest it understands; the session runs at
-    ``min(ours, theirs)``.  ``limit`` lowers "ours" below
-    :data:`PROTOCOL_VERSION` — rolling-upgrade fleets pin workers to the
-    old wire until every coordinator has moved.  Raises
-    :class:`ProtocolError` when there is no common version — the caller
-    reports the mismatch to the peer.
-    """
-    ours = PROTOCOL_VERSION if limit is None else min(PROTOCOL_VERSION, limit)
-    base = init_header.get("protocol")
-    offered_max = init_header.get("protocol_max", base)
-    if (
-        not isinstance(base, int)
-        or not isinstance(offered_max, int)
-        or offered_max < base
-        or base > ours
-        or offered_max < PROTOCOL_BASE_VERSION
-    ):
+def check_version(version, *, peer: str = "peer") -> None:
+    """Raise :class:`ProtocolError` unless ``version`` is ours."""
+    if type(version) is not int or version != PROTOCOL_VERSION:
         raise ProtocolError(
-            f"protocol mismatch: this side speaks versions "
-            f"{PROTOCOL_BASE_VERSION}..{ours}, peer sent "
-            f"{base!r}..{offered_max!r}"
+            f"protocol mismatch: this side speaks version "
+            f"{PROTOCOL_VERSION}, {peer} sent {version!r}"
         )
-    return min(ours, offered_max)
 
 
 def disable_nagle(sock) -> None:
     """Turn off Nagle batching on a session socket.
 
     Session frames are latency-sensitive and written as single
-    ``sendall`` calls, and under the v4 shared-memory data plane the
+    ``sendall`` calls, and under the shared-memory data plane the
     socket carries *only* small control frames (chunk announcements,
     slot acks) — exactly the traffic Nagle's delayed coalescing
     penalises, stacking up to a delayed-ACK round trip (~40ms) per
@@ -253,35 +183,43 @@ class TlsMismatchError(DistSecurityError, ProtocolError):
 def read_magic(sock: socket.socket) -> bytes:
     """Read the 4 magic bytes that start the connection's next frame.
 
-    Lets a server dispatch between the pickled-header framing
-    (:data:`MAGIC`) and the pre-auth binary framing
-    (:data:`repro.eval.dist.auth.AUTH_MAGIC`) *before* any pickled byte
-    is consumed; pass the result to :func:`recv_message` (or
+    Lets a server dispatch between session frames (:data:`MAGIC`) and
+    the pre-auth binary framing
+    (:data:`repro.eval.dist.auth.AUTH_MAGIC`) *before* any header byte
+    is consumed; pass the result to :func:`recv_json_message` (or the
     ``auth`` receive helpers) as ``preread_magic``.  A clean close here
     raises :class:`ConnectionClosed`.
     """
     return _recv_exact(sock, 4, at_boundary=True)
 
 
-def _send_frame(sock, magic: bytes, header: dict, header_bytes: bytes,
-                payload_view) -> None:
-    """Write one frame, consulting the chaos plan (when one is armed).
+def send_json_message(sock: socket.socket, header: dict, payload=b"") -> None:
+    """Send one frame: JSON header, opaque binary payload.
 
-    The chaos actions model distinct failure shapes: **drop** sends
-    nothing (a hung-but-connected peer — only heartbeats or deadlines
-    notice), **corrupt** scrambles the magic so the receiver fails fast
-    at the framing layer (a detected, retriable fault), **truncate**
-    tears the frame mid-body and aborts the sender's session.  Payload
-    bytes are never altered: frames either arrive intact or detectably
-    broken, which is what keeps chaos runs bit-identical.
+    Headers must be JSON-native dicts (type tags, chunk indices,
+    descriptors, shm slot references); a non-encodable header is a
+    programming error and raises :class:`TypeError` before any byte is
+    sent.
+
+    The chaos plan (when one is armed) is consulted first.  Its actions
+    model distinct failure shapes: **drop** sends nothing (a
+    hung-but-connected peer — only heartbeats or deadlines notice),
+    **corrupt** scrambles the magic so the receiver fails fast at the
+    framing layer (a detected, retriable fault), **truncate** tears the
+    frame mid-body and aborts the sender's session.  Payload bytes are
+    never altered: frames either arrive intact or detectably broken,
+    which is what keeps chaos runs bit-identical.
     """
+    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    payload_view = memoryview(payload).cast("B")
     plan = active_plan()
     action = plan.frame_send_action(header) if plan is not None else None
     if action == "drop":
         return
-    if action == "corrupt":
-        magic = b"RTDX"
-    sock.sendall(_FRAME.pack(magic, len(header_bytes), len(payload_view)))
+    magic = b"RTDX" if action == "corrupt" else MAGIC
+    sock.sendall(
+        magic + _FRAME_REST.pack(len(header_bytes), len(payload_view))
+    )
     if action == "truncate":
         sock.sendall(header_bytes[: max(1, len(header_bytes) // 2)])
         raise ProtocolError(
@@ -292,20 +230,15 @@ def _send_frame(sock, magic: bytes, header: dict, header_bytes: bytes,
         sock.sendall(payload_view)
 
 
-def send_message(sock: socket.socket, header: dict, payload=b"") -> None:
-    """Send one frame.  ``payload`` is any bytes-like object."""
-    header_bytes = pickle.dumps(header, protocol=pickle.HIGHEST_PROTOCOL)
-    payload_view = memoryview(payload).cast("B")
-    _send_frame(sock, MAGIC, header, header_bytes, payload_view)
-
-
-def recv_message(
+def recv_json_message(
     sock: socket.socket, *, preread_magic: bytes | None = None
 ) -> tuple[dict, bytes]:
     """Receive one frame; returns ``(header, payload)``.
 
+    The header is JSON and must decode to a dict with a ``"type"`` key;
+    the payload is returned as raw bytes for the caller's codec.
     ``preread_magic`` hands over 4 magic bytes already consumed by
-    :func:`read_magic` (server-side dispatch between frame families).
+    :func:`read_magic` (server-side dispatch).
     """
     if preread_magic is None:
         magic = _recv_exact(sock, 4, at_boundary=True)
@@ -326,81 +259,32 @@ def recv_message(
         )
     header_bytes = _recv_exact(sock, header_len, at_boundary=False)
     try:
-        header = pickle.loads(header_bytes)
-    except Exception as exc:
-        raise ProtocolError(f"unpicklable frame header: {exc!r}") from exc
-    if not isinstance(header, dict) or "type" not in header:
-        raise ProtocolError(
-            f"frame header must be a dict with a 'type' key, got "
-            f"{type(header).__name__}"
-        )
-    payload = _recv_exact(sock, payload_len, at_boundary=False)
-    return header, payload
-
-
-def send_json_message(sock: socket.socket, header: dict, payload=b"") -> None:
-    """Send one v4 frame: JSON header, opaque binary payload.
-
-    The layout matches the legacy frame exactly except for the magic and
-    the header encoding — ``MAGIC_V4 | header len (u64 BE) | payload len
-    (u64 BE) | UTF-8 JSON header | payload`` — so both families share
-    the length-sanity machinery.  Headers must be JSON-native dicts
-    (type tags, chunk indices, descriptors, shm slot references); a
-    non-encodable header is a programming error and raises
-    :class:`TypeError` before any byte is sent.
-    """
-    header_bytes = json.dumps(header, separators=(",", ":")).encode("utf-8")
-    payload_view = memoryview(payload).cast("B")
-    _send_frame(sock, MAGIC_V4, header, header_bytes, payload_view)
-
-
-def recv_json_message(
-    sock: socket.socket, *, preread_magic: bytes | None = None
-) -> tuple[dict, bytes]:
-    """Receive one v4 frame; returns ``(header, payload)``.
-
-    Nothing on this path is ever unpickled: the header is JSON and must
-    decode to a dict with a ``"type"`` key, and the payload is returned
-    as raw bytes for the caller's codec.  A legacy magic here is a
-    protocol violation (the peer fell back mid-session), not a dispatch
-    case — sessions never mix frame families after negotiation.
-    """
-    if preread_magic is None:
-        magic = _recv_exact(sock, 4, at_boundary=True)
-    else:
-        magic = preread_magic
-    if magic != MAGIC_V4:
-        raise bad_magic_error(magic, repr(MAGIC_V4))
-    header_len, payload_len = _FRAME_REST.unpack(
-        _recv_exact(sock, _FRAME_REST.size, at_boundary=False)
-    )
-    if header_len > MAX_HEADER_BYTES:
-        raise ProtocolError(
-            f"header length {header_len} exceeds {MAX_HEADER_BYTES}"
-        )
-    if payload_len > MAX_PAYLOAD_BYTES:
-        raise ProtocolError(
-            f"payload length {payload_len} exceeds {MAX_PAYLOAD_BYTES}"
-        )
-    header_bytes = _recv_exact(sock, header_len, at_boundary=False)
-    try:
         header = json.loads(header_bytes)
     except ValueError as exc:
-        raise ProtocolError(f"malformed v4 frame header: {exc}") from exc
+        raise ProtocolError(f"malformed frame header: {exc}") from exc
     if not isinstance(header, dict) or "type" not in header:
         raise ProtocolError(
-            f"v4 frame header must be a JSON object with a 'type' key, "
+            f"frame header must be a JSON object with a 'type' key, "
             f"got {type(header).__name__}"
         )
     payload = _recv_exact(sock, payload_len, at_boundary=False)
     return header, payload
 
 
-def buffer_payload(buffer: np.ndarray):
-    """Wrap a packed float64 buffer for :func:`send_message` (zero-copy).
+# One frame pair, two names each.  The repository benchmark's traced
+# remote run (perfbench/agent.py) wraps ``send_message``,
+# ``send_json_message``, ``recv_message`` and ``recv_json_message`` by
+# name in the coordinator module, so all four names stay bound.
+send_message = send_json_message
+recv_message = recv_json_message
 
-    Canonicalises to little-endian so heterogeneous hosts interoperate;
-    on the (little-endian) common case this is a no-copy view.
+
+def buffer_payload(buffer: np.ndarray):
+    """Wrap a packed float64 buffer for :func:`send_json_message`.
+
+    Zero-copy.  Canonicalises to little-endian so heterogeneous hosts
+    interoperate; on the (little-endian) common case this is a no-copy
+    view.
     """
     return memoryview(np.ascontiguousarray(buffer, dtype="<f8")).cast("B")
 

@@ -1,13 +1,13 @@
-"""Shared-memory data plane for same-host protocol-v4 sessions.
+"""Shared-memory data plane for same-host sweep sessions.
 
 When the coordinator and a worker share a machine — loopback endpoints
 and every ``LocalLauncher`` autolaunch — the socket still carries every
 chunk and result payload through two kernel copies that the data never
 needed.  This module moves the *data plane* into
 :mod:`multiprocessing.shared_memory` segments while the *control plane*
-(frames, negotiation, authentication) stays on the socket: a v4 chunk
-or result frame then carries a tiny ``{"slot": n, "size": k}``
-reference instead of the payload bytes.
+(frames, handshake, authentication) stays on the socket: a chunk or
+result frame then carries a tiny ``{"slot": n, "size": k}`` reference
+instead of the payload bytes.
 
 Topology per session — two rings, both created by the coordinator once
 the worker's capacity is known:
@@ -63,14 +63,11 @@ __all__ = [
 #: Leading tag of every segment name this module creates.
 SHM_PREFIX = "repro-dist-"
 
-#: Wire name of the checksummed slot layout (``describe()["layout"]``).
-#: Each slot is prefixed with a CRC32 of its payload, so a corrupted or
-#: torn slot read becomes a detected :class:`ShmError` — and therefore a
-#: retriable session failure — instead of silently wrong results.  The
-#: layout is negotiated: coordinators only create checksummed rings for
-#: workers that advertise the ``shm-crc`` feature, and a plain ring
-#: (no ``layout`` key) keeps the exact pre-checksum geometry, so rolling
-#: upgrades interoperate in both directions.
+#: Wire name of the slot layout (``describe()["layout"]``).  Each slot
+#: is prefixed with a CRC32 of its payload, so a corrupted or torn slot
+#: read becomes a detected :class:`ShmError` — and therefore a retriable
+#: session failure — instead of silently wrong results.  It is the only
+#: layout; an attach naming any other is refused.
 CRC_LAYOUT = "crc32"
 
 #: Per-slot checksum prefix: CRC32 of the slot's payload bytes.
@@ -124,16 +121,13 @@ class ShmRing:
         slot_size: int,
         *,
         owner: bool,
-        checksum: bool = False,
     ) -> None:
         self._segment = segment
         self.n_slots = n_slots
         self.slot_size = slot_size
-        self.checksum = checksum
-        # ``slot_size`` is always the usable payload capacity; the
-        # checksum prefix extends the physical stride so negotiating the
-        # layout never shrinks what a slot can carry.
-        self._stride = slot_size + (_SLOT_CRC.size if checksum else 0)
+        # ``slot_size`` is the usable payload capacity; the checksum
+        # prefix extends the physical stride.
+        self._stride = _stride(slot_size)
         self._owner = owner
         self._closed = False
 
@@ -144,14 +138,12 @@ class ShmRing:
 
     def describe(self) -> dict:
         """The ring's wire description for the ``shm-open`` frame."""
-        description = {
+        return {
             "name": self.name,
             "slots": self.n_slots,
             "slot_size": self.slot_size,
+            "layout": CRC_LAYOUT,
         }
-        if self.checksum:
-            description["layout"] = CRC_LAYOUT
-        return description
 
     def _bounds(self, slot: int, size: int) -> int:
         if not 0 <= slot < self.n_slots:
@@ -171,15 +163,13 @@ class ShmRing:
         offset = self._bounds(slot, len(view))
         plan = active_plan()
         action = plan.shm_fault("write") if plan is not None else None
-        if self.checksum:
-            crc = zlib.crc32(view) & 0xFFFFFFFF
-            _SLOT_CRC.pack_into(self._segment.buf, offset, crc)
-            offset += _SLOT_CRC.size
+        crc = zlib.crc32(view) & 0xFFFFFFFF
+        _SLOT_CRC.pack_into(self._segment.buf, offset, crc)
+        offset += _SLOT_CRC.size
         self._segment.buf[offset : offset + len(view)] = view
         if action == "corrupt" and len(view):
             # Damage the stored copy *after* the checksum was taken, so
-            # a CRC ring detects it and a plain ring demonstrates why
-            # checksums exist.
+            # the reader's CRC check detects it.
             self._segment.buf[offset] = self._segment.buf[offset] ^ 0xFF
         return len(view)
 
@@ -188,16 +178,14 @@ class ShmRing:
 
         The view aliases the shared segment: the peer may overwrite the
         slot once it is released, so consume (or copy) before releasing.
-        On checksummed rings the slot's CRC32 is verified here; a
-        mismatch raises :class:`ShmError` and tears the session down —
-        corruption is a retriable failure, never silent data.
+        The slot's CRC32 is verified here; a mismatch raises
+        :class:`ShmError` and tears the session down — corruption is a
+        retriable failure, never silent data.
         """
         offset = self._bounds(slot, size)
         plan = active_plan()
         if plan is not None:
             plan.shm_fault("read")
-        if not self.checksum:
-            return self._segment.buf[offset : offset + size]
         (expected,) = _SLOT_CRC.unpack_from(self._segment.buf, offset)
         offset += _SLOT_CRC.size
         view = self._segment.buf[offset : offset + size]
@@ -236,9 +224,12 @@ class ShmRing:
                 pass
 
 
-def create_ring(
-    n_slots: int, slot_size: int, *, checksum: bool = False
-) -> ShmRing:
+def _stride(slot_size: int) -> int:
+    """Physical bytes per slot: the CRC32 prefix plus the payload."""
+    return _SLOT_CRC.size + slot_size
+
+
+def create_ring(n_slots: int, slot_size: int) -> ShmRing:
     """Create (and own) a ring; the segment name is fresh and tagged."""
     if n_slots < 1 or slot_size < 1:
         raise ShmError(
@@ -250,21 +241,19 @@ def create_ring(
             "cannot create shared memory ring: "
             "[Errno 28] No space left on device (chaos)"
         )
-    stride = slot_size + (_SLOT_CRC.size if checksum else 0)
     name = f"{SHM_PREFIX}{os.getpid()}-{secrets.token_hex(4)}"
     try:
         segment = shared_memory.SharedMemory(
-            name=name, create=True, size=n_slots * stride
+            name=name, create=True, size=n_slots * _stride(slot_size)
         )
     except OSError as exc:
         raise ShmError(f"cannot create shared memory ring: {exc}") from exc
     _OWNED_NAMES.add(segment.name)
-    return ShmRing(segment, n_slots, slot_size, owner=True,
-                   checksum=checksum)
+    return ShmRing(segment, n_slots, slot_size, owner=True)
 
 
 def attach_ring(
-    name: str, n_slots: int, slot_size: int, *, layout=None
+    name: str, n_slots: int, slot_size: int, *, layout=CRC_LAYOUT
 ) -> ShmRing:
     """Attach to a coordinator-created ring by name.
 
@@ -280,12 +269,10 @@ def attach_ring(
             f"refusing to attach segment {name!r}: not a "
             f"{SHM_PREFIX}* session segment"
         )
-    if layout is not None and layout != CRC_LAYOUT:
-        # An unknown layout means a newer peer: nack back to inline
-        # payloads rather than misinterpret the slot geometry.
+    if layout != CRC_LAYOUT:
+        # Nack back to inline payloads rather than misinterpret the
+        # slot geometry.
         raise ShmError(f"unknown shm slot layout {layout!r}")
-    checksum = layout == CRC_LAYOUT
-    stride = slot_size + (_SLOT_CRC.size if checksum else 0)
     try:
         segment = shared_memory.SharedMemory(name=name)
     except OSError as exc:
@@ -297,7 +284,7 @@ def attach_ring(
             resource_tracker.unregister(segment._name, "shared_memory")
         except Exception:  # pragma: no cover - tracker internals vary
             pass
-    if segment.size < n_slots * stride:
+    if segment.size < n_slots * _stride(slot_size):
         try:
             segment.close()
         except OSError:
@@ -306,5 +293,4 @@ def attach_ring(
             f"segment {name!r} is {segment.size} bytes, smaller than "
             f"the advertised {n_slots}×{slot_size} geometry"
         )
-    return ShmRing(segment, n_slots, slot_size, owner=False,
-                   checksum=checksum)
+    return ShmRing(segment, n_slots, slot_size, owner=False)

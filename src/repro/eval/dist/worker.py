@@ -2,33 +2,27 @@
 
 A :class:`WorkerServer` listens on one TCP port and serves coordinator
 sessions: each accepted connection is one sweep session.  The
-coordinator ships the (instance, config, options) triple exactly once
-per session; every subsequent ``chunk`` frame carries a list of
-:class:`repro.eval.parallel.ScenarioTask` records, and the worker
-answers with the chunk's error vectors as one packed float64 payload
-(the same transport the in-host pool uses).
+coordinator's ``init`` frame ships the (instance, config, options)
+triple exactly once per session as a canonical-JSON context
+(:mod:`repro.eval.dist.codec`); every subsequent ``chunk`` frame carries
+a list of :class:`repro.eval.parallel.ScenarioTask` records as
+fixed-width struct records, and the worker answers with the chunk's
+error vectors as one packed float64 payload (the same transport the
+in-host pool uses).  Nothing a peer sends is ever unpickled.
 
-Wire generations: sessions that negotiate protocol v4
-(:data:`repro.eval.dist.protocol.CODEC_PROTOCOL_VERSION`) are
-pickle-free — the context arrives as a canonical-JSON frame and chunks
-as fixed-width struct records (:mod:`repro.eval.dist.codec`), framed by
-:func:`repro.eval.dist.protocol.recv_json_message`.  v1–v3 sessions
-keep the legacy pickled frames end to end.  A v4 session may
-additionally move its chunk and result payloads through same-host
-shared-memory rings (:mod:`repro.eval.dist.shm`): the coordinator
-offers the rings in a ``shm`` frame, the worker attaches (or nacks back
-to inline socket payloads), and from then on data-plane frames carry
-``slot``/``size`` references instead of bytes.
+Data plane: a session may move its chunk and result payloads through
+same-host shared-memory rings (:mod:`repro.eval.dist.shm`): the
+coordinator offers the rings in a ``shm`` frame, the worker attaches
+(or nacks back to inline socket payloads), and from then on data-plane
+frames carry ``slot``/``size`` references instead of bytes.
 
-Capacity: the handshake negotiates a protocol version
-(:func:`repro.eval.dist.protocol.negotiate_version`); at version 2 the
-``ready`` frame advertises the worker's *capacity* — how many chunks it
-can compute at once (``repro-tomography worker`` defaults to the CPU
-count; ``--capacity`` overrides).  A capacity-``C`` session executes up
-to ``C`` in-flight chunks concurrently on a process pool (results may
-return out of order; the coordinator keys them by chunk index), while a
-version-1 coordinator — which never pipelines — gets the strict
-sequential request/response loop regardless of capacity.
+Capacity: the ``ready`` frame advertises the worker's *capacity* — how
+many chunks it can compute at once (``repro-tomography worker``
+defaults to the CPU count; ``--capacity`` overrides).  A capacity-``C``
+session executes up to ``C`` in-flight chunks concurrently on a process
+pool (results may return out of order; the coordinator keys them by
+chunk index); a capacity-1 session computes each chunk in the session
+thread.
 
 Cache semantics: when the worker is given a cache directory (its own
 ``--cache-dir`` flag or ``REPRO_CACHE_DIR``; typically a store shared
@@ -61,7 +55,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import signal
 import socket
 import ssl
@@ -79,29 +72,23 @@ from repro.eval.dist.auth import (
 )
 from repro.eval.dist.codec import decode_context, decode_tasks
 from repro.eval.dist.protocol import (
-    CAPACITY_PROTOCOL_VERSION,
-    CODEC_PROTOCOL_VERSION,
-    MAGIC_V4,
+    MAGIC,
     PROTOCOL_VERSION,
+    RETIRED_MAGIC,
     ConnectionClosed,
     ProtocolError,
     _FRAME_REST,
     _recv_exact,
-    bad_magic_error,
     buffer_payload,
+    check_version,
     disable_nagle,
-    negotiate_version,
     read_magic,
     recv_json_message,
-    recv_message,
     send_json_message,
-    send_message,
 )
-from repro.eval.dist.protocol import MAGIC as FRAME_MAGIC
 from repro.eval.dist.faults import active_plan
 from repro.eval.dist.shm import ShmError, attach_ring
 from repro.eval.parallel import _execute_task, _pack_error_dicts
-from repro.io import instance_fingerprint
 
 __all__ = ["WorkerServer"]
 
@@ -126,10 +113,10 @@ def _drain_refused_frame(connection, magic: bytes) -> None:
 
     Only the plain-integer length fields are interpreted; header and
     payload bytes go straight to the bit bucket, so nothing a rejected
-    peer sends is ever unpickled.
+    peer sends is ever decoded.
     """
     try:
-        if magic in (FRAME_MAGIC, MAGIC_V4):
+        if magic in (MAGIC, RETIRED_MAGIC):
             header_len, payload_len = _FRAME_REST.unpack(
                 _recv_exact(
                     connection, _FRAME_REST.size, at_boundary=False
@@ -153,19 +140,17 @@ def _drain_refused_frame(connection, magic: bytes) -> None:
 
 
 def _pool_initializer(
-    instance, config, options, cache_dir, throttle, fingerprint=None
+    instance, config, options, cache_dir, throttle, fingerprint
 ) -> None:
-    # v4 sessions pass the coordinator's shipped fingerprint so remote
-    # cache keys are byte-for-byte the keys the coordinator would
-    # compute; legacy sessions derive it from the unpickled instance.
+    # ``fingerprint`` is the coordinator's, shipped in the context, so
+    # remote cache keys are byte-for-byte the keys the coordinator
+    # would compute.
     global _POOL_STATE
     cache = None
     if cache_dir is not None:
         from repro.eval.cache import TrialCache
 
         cache = TrialCache(cache_dir)
-        if fingerprint is None:
-            fingerprint = instance_fingerprint(instance)
     _POOL_STATE = (instance, config, options, cache, fingerprint, throttle)
 
 
@@ -191,20 +176,8 @@ def _run_chunk_tasks(
 
 
 def _pool_run_chunk(payload: bytes):
-    # The chunk's task list crosses the pool boundary as the raw frame
-    # payload and is unpickled here, in the child — unpickling in the
-    # session thread would just re-pickle the tasks for the submit.
-    tasks = pickle.loads(payload)
-    instance, config, options, cache, fingerprint, throttle = _POOL_STATE
-    return _run_chunk_tasks(
-        tasks, instance, config, options, cache, fingerprint, throttle
-    )
-
-
-def _pool_run_chunk_v4(payload: bytes):
-    # v4 twin of :func:`_pool_run_chunk`: the payload is struct-codec
-    # task records, decoded in the child so the session thread stays a
-    # pure frame pump (and never touches pickle for wire data).
+    # The payload is struct-codec task records, decoded in the child so
+    # the session thread stays a pure frame pump.
     tasks = decode_tasks(payload)
     instance, config, options, cache, fingerprint, throttle = _POOL_STATE
     return _run_chunk_tasks(
@@ -212,18 +185,10 @@ def _pool_run_chunk_v4(payload: bytes):
     )
 
 
-#: Optional capabilities this worker advertises in its v4 ``ready``
-#: frame.  Unknown-key tolerance makes the list forward-compatible:
-#: old coordinators ignore it, new coordinators only use what both
-#: sides understand (``heartbeat`` liveness pongs, CRC32-checksummed
-#: shm slots).
-WORKER_FEATURES = ("heartbeat", "shm-crc")
-
-
 class _HeartbeatSender:
     """Unsolicited liveness pongs, one per half heartbeat interval.
 
-    Armed when the coordinator's context frame carries a ``heartbeat``
+    Armed when the coordinator's ``init`` frame carries a ``heartbeat``
     key: a daemon thread sends ``{"type": "pong"}`` frames every
     ``interval / 2`` under the session's send lock, so the coordinator
     observes traffic at least twice per interval from a healthy worker
@@ -280,8 +245,8 @@ class _HeartbeatSender:
         self._stop.set()
 
 
-class _V4Transport:
-    """One v4 session's data plane: inline socket bytes, or shm rings.
+class _SessionTransport:
+    """One session's data plane: inline socket bytes, or shm rings.
 
     Starts inline; an accepted ``shm`` frame attaches the
     coordinator-created rings, after which chunk payloads are read from
@@ -420,12 +385,12 @@ class WorkerServer:
     """Serve sweep sessions on ``host:port`` (``port=0`` → ephemeral).
 
     Parameters:
-        capacity: Parallel chunk slots advertised to version-2
-            coordinators; sessions with ``capacity > 1`` execute their
+        capacity: Parallel chunk slots advertised in the ``ready``
+            frame; sessions with ``capacity > 1`` execute their
             in-flight chunks on a process pool of that size.  Defaults
-            to 1 (the sequential version-1 behaviour); the CLI worker
-            defaults to the CPU count instead.  The pool (and the
-            advertisement) is per *session*: a worker shared by two
+            to 1 (chunks computed in the session thread); the CLI
+            worker defaults to the CPU count instead.  The pool (and
+            the advertisement) is per *session*: a worker shared by two
             overlapping sweeps runs up to ``2 × capacity`` compute
             processes, so size ``--capacity`` for the share of the
             host each concurrent sweep should get on shared-fleet
@@ -442,12 +407,11 @@ class WorkerServer:
             before each task (a simulated slower host; results are
             delayed, never changed).
         secret: Shared secret (str or bytes).  When set, every session
-            must complete the v3 HMAC handshake
+            must complete the HMAC handshake
             (:func:`repro.eval.dist.auth.server_handshake`) before the
-            worker reads — let alone unpickles — any payload frame;
-            v1/v2 and unauthenticated peers are refused at the magic
-            bytes.  ``None`` keeps the historical trust-the-network
-            behaviour.
+            worker parses any session frame; unauthenticated peers are
+            refused at the magic bytes.  ``None`` keeps the
+            trust-the-network behaviour.
         ssl_context: Optional server-side :class:`ssl.SSLContext`
             (see :func:`repro.eval.dist.certs.server_context`); every
             accepted connection is TLS-wrapped before any frame is
@@ -455,18 +419,7 @@ class WorkerServer:
         handshake_timeout: Seconds a new connection gets to finish
             TLS + auth + ``init``; a half-open or stalling peer is
             dropped instead of pinning a session thread forever.
-        protocol_max: Highest protocol version this worker will
-            negotiate (clamped to the library's
-            :data:`repro.eval.dist.protocol.PROTOCOL_VERSION`).
-            ``protocol_max=3`` makes a current worker behave exactly
-            like a pre-v4 deployment — the mixed-fleet tests and the
-            benchmark's wire-generation baselines are built on it.
         log: Callable for one-line status messages (``None`` = silent).
-
-    Attributes:
-        negotiated_versions: Protocol version of each served session,
-            in acceptance order (diagnostic; the interop tests assert
-            mixed fleets really split across wire generations).
     """
 
     def __init__(
@@ -482,7 +435,6 @@ class WorkerServer:
         secret=None,
         ssl_context: ssl.SSLContext | None = None,
         handshake_timeout: float = 30.0,
-        protocol_max: int | None = None,
         log=None,
     ) -> None:
         if capacity < 1:
@@ -494,10 +446,6 @@ class WorkerServer:
                 f"handshake_timeout must be positive, got "
                 f"{handshake_timeout}"
             )
-        if protocol_max is not None and protocol_max < 1:
-            raise ValueError(
-                f"protocol_max must be >= 1, got {protocol_max}"
-            )
         self._server = socket.create_server((host, port))
         self.host, self.port = self._server.getsockname()[:2]
         self.capacity = capacity
@@ -508,14 +456,8 @@ class WorkerServer:
         self._secret = normalize_secret(secret)
         self._ssl_context = ssl_context
         self._handshake_timeout = handshake_timeout
-        self._protocol_max = (
-            PROTOCOL_VERSION
-            if protocol_max is None
-            else min(PROTOCOL_VERSION, protocol_max)
-        )
         self._log = log or (lambda message: None)
         self._closed = False
-        self.negotiated_versions: list[int] = []
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -585,35 +527,27 @@ class WorkerServer:
             self.close()
         return sessions
 
-    def _refuse_plaintext(self, raw: socket.socket) -> None:
-        """Tell a plaintext peer it hit a TLS listener, then hang up.
+    def _refuse(self, connection, error: str, message: str, log: str):
+        """Answer a refused peer with one ``error`` frame, then log.
 
-        Sent *instead of* attempting the TLS accept (which would
-        consume the peer's frame as a garbled ClientHello and close
-        without a word), so the coordinator can render a configuration
+        The peer's frame has already been drained unparsed; the refusal
+        names the reason so the coordinator can render a configuration
         error rather than a bare connection reset.
         """
         try:
-            send_message(
-                raw,
+            send_json_message(
+                connection,
                 {
                     "type": "error",
-                    "error": "tls-required",
+                    "error": error,
                     "chunk": None,
-                    "message": (
-                        "this worker serves TLS; configure --tls-ca "
-                        "(and --tls-cert/--tls-key for mutual TLS) on "
-                        "the coordinator"
-                    ),
+                    "message": message,
                     "traceback": "",
                 },
             )
         except OSError:
             pass
-        self._log(
-            "refused plaintext session on the TLS listener; no payload "
-            "was read"
-        )
+        self._log(log)
 
     def _session_thread(self, raw: socket.socket) -> None:
         disable_nagle(raw)
@@ -652,12 +586,20 @@ class WorkerServer:
                     # and deserves a readable refusal.
                     first = raw.recv(4, socket.MSG_PEEK)
                     if first and first in (
-                        FRAME_MAGIC[: len(first)],
-                        MAGIC_V4[: len(first)],
+                        MAGIC[: len(first)],
+                        RETIRED_MAGIC[: len(first)],
                         AUTH_MAGIC[: len(first)],
                     ):
                         _drain_refused_frame(raw, read_magic(raw))
-                        self._refuse_plaintext(raw)
+                        self._refuse(
+                            raw,
+                            "tls-required",
+                            "this worker serves TLS; configure --tls-ca "
+                            "(and --tls-cert/--tls-key for mutual TLS) "
+                            "on the coordinator",
+                            "refused plaintext session on the TLS "
+                            "listener; no payload was read",
+                        )
                         return
                     wrapped = self._ssl_context.wrap_socket(
                         raw, server_side=True
@@ -670,7 +612,7 @@ class WorkerServer:
             except Exception as exc:
                 # A torn session never takes the worker down — not just
                 # transport errors but anything a mismatched coordinator
-                # can provoke (unpicklable payloads, malformed headers,
+                # can provoke (undecodable payloads, malformed headers,
                 # failed TLS or auth handshakes): log and keep serving
                 # other sessions.
                 self._log(f"session aborted: {exc!r}")
@@ -694,154 +636,76 @@ class WorkerServer:
     def _serve_session(
         self, connection: socket.socket, handshake_done=None
     ) -> None:
-        # Dispatch on the first 4 bytes so the secured path decides
-        # before any pickled byte — header included — is consumed.
+        """Handshake (auth, ``init``, ``ready``), then serve chunks.
+
+        Dispatch on the first 4 bytes so the secured path decides
+        before any header byte is parsed.
+        """
         magic = read_magic(connection)
-        authenticated_version = None
-        payload = b""
         if magic == AUTH_MAGIC:
             try:
-                authenticated_version = server_handshake(
-                    connection,
-                    self._secret,
-                    preread_magic=magic,
-                    protocol_max=self._protocol_max,
+                server_handshake(
+                    connection, self._secret, preread_magic=magic
                 )
             except AuthError as exc:
                 # The rejection frame is already on the wire; log and
                 # drop without ever touching a payload.
                 self._log(f"auth refused: {exc}")
                 return
-            if authenticated_version >= CODEC_PROTOCOL_VERSION:
-                # The handshake already bound a pickle-free version for
-                # both sides; no legacy init frame exists on this
-                # session, so go straight to the v4 exchange.
-                self.negotiated_versions.append(authenticated_version)
-                self._serve_v4(
-                    connection, authenticated_version, handshake_done
-                )
-                return
-            header, payload = recv_message(connection)
-        elif magic == FRAME_MAGIC:
-            if self._secret is not None:
-                # Refuse legacy/unauthenticated peers at the magic
-                # bytes: the init frame's pickled header and payload
-                # are never parsed — only drained, so the refusal
-                # below is not destroyed by a reset.  The reply uses
-                # the legacy error framing so v1/v2 coordinators can
-                # render it.
-                _drain_refused_frame(connection, magic)
-                send_message(
-                    connection,
-                    {
-                        "type": "error",
-                        "error": "auth-required",
-                        "chunk": None,
-                        "message": (
-                            "this worker requires shared-secret "
-                            "authentication (protocol v3); configure "
-                            "the same secret on the coordinator "
-                            "(REPRO_DIST_SECRET or --secret-file)"
-                        ),
-                        "traceback": "",
-                    },
-                )
-                self._log(
-                    "refused unauthenticated session (shared secret "
-                    "required); no payload was read"
-                )
-                return
-            header, payload = recv_message(
-                connection, preread_magic=magic
+            magic = None
+        elif self._secret is not None:
+            # Refuse unauthenticated peers at the magic bytes: their
+            # frame is drained, never parsed, so the refusal below is
+            # not destroyed by a reset.
+            _drain_refused_frame(connection, magic)
+            self._refuse(
+                connection,
+                "auth-required",
+                "this worker requires shared-secret authentication; "
+                "configure the same secret on the coordinator "
+                "(REPRO_DIST_SECRET or --secret-file)",
+                "refused unauthenticated session (shared secret "
+                "required); no payload was read",
             )
-        else:
-            raise bad_magic_error(magic, "an init or auth frame")
+            return
+        elif magic == RETIRED_MAGIC:
+            _drain_refused_frame(connection, magic)
+            self._refuse(
+                connection,
+                "protocol-mismatch",
+                f"protocol mismatch: this worker speaks version "
+                f"{PROTOCOL_VERSION}; the pickled-header framing "
+                f"({RETIRED_MAGIC!r}) is retired",
+                "refused a retired-framing session; no payload was read",
+            )
+            return
+        header, payload = recv_json_message(
+            connection, preread_magic=magic
+        )
         if header["type"] != "init":
             raise ProtocolError(
                 f"expected an init frame, got {header['type']!r}"
             )
         try:
-            version = negotiate_version(header, limit=self._protocol_max)
+            check_version(header.get("protocol"), peer="coordinator")
         except ProtocolError as exc:
-            send_message(
+            self._refuse(
                 connection,
-                {
-                    "type": "error",
-                    "chunk": None,
-                    "message": str(exc),
-                    "traceback": "",
-                },
+                "protocol-mismatch",
+                str(exc),
+                f"refused session: {exc}",
             )
             return
-        if (
-            authenticated_version is not None
-            and version != authenticated_version
-        ):
-            # The HMAC bound the negotiated version; an init that
-            # negotiates anything else is a downgrade attempt.
-            raise ProtocolError(
-                f"init negotiated version {version} but the "
-                f"authenticated handshake bound version "
-                f"{authenticated_version}; refusing the downgrade"
-            )
-        self.negotiated_versions.append(version)
-        if version >= CODEC_PROTOCOL_VERSION:
-            # The init frame's pickled payload is a compatibility
-            # vehicle for older workers; this one negotiated the
-            # pickle-free wire, so the bytes are discarded *unparsed*
-            # and the context arrives again as a v4 JSON frame.
-            del payload
-            self._serve_v4(connection, version, handshake_done)
-            return
-        instance, config, options = pickle.loads(payload)
-        ready = {
-            "type": "ready",
-            "protocol": version,
-            "host": socket.gethostname(),
-        }
-        if version >= CAPACITY_PROTOCOL_VERSION:
-            ready["capacity"] = self.capacity
-        send_message(connection, ready)
-        if handshake_done is not None:
-            handshake_done.set()  # disarm the stalled-handshake reaper
-        connection.settimeout(None)  # handshake done: blocking session
-        if version >= CAPACITY_PROTOCOL_VERSION and self.capacity > 1:
-            self._serve_concurrent(connection, instance, config, options)
-        else:
-            self._serve_sequential(connection, instance, config, options)
-
-    # -- protocol v4 sessions ------------------------------------------
-    def _serve_v4(self, connection, version, handshake_done) -> None:
-        """The pickle-free session: v4 ready, context frame, then serve.
-
-        Frame order is uniform across the auth and legacy-init entry
-        paths: the worker's v4 ``ready`` goes first (its magic is what
-        tells the coordinator the reply is v4), the coordinator answers
-        with the codec'd ``context`` frame, and only then does the
-        chunk loop start.
-        """
+        (instance, config, options), fingerprint = decode_context(payload)
         send_json_message(
             connection,
             {
                 "type": "ready",
-                "protocol": version,
+                "protocol": PROTOCOL_VERSION,
                 "host": socket.gethostname(),
                 "capacity": self.capacity,
-                "features": list(WORKER_FEATURES),
             },
         )
-        header, payload = recv_json_message(connection)
-        if header["type"] != "context":
-            raise ProtocolError(
-                f"expected a context frame, got {header['type']!r}"
-            )
-        if header.get("protocol") != version:
-            raise ProtocolError(
-                f"context frame claims protocol "
-                f"{header.get('protocol')!r} on a version-{version} "
-                f"session; refusing the mismatch"
-            )
-        (instance, config, options), fingerprint = decode_context(payload)
         if handshake_done is not None:
             handshake_done.set()  # disarm the stalled-handshake reaper
         connection.settimeout(None)  # handshake done: blocking session
@@ -856,26 +720,13 @@ class WorkerServer:
             )
             heartbeat.start()
         try:
-            if self.capacity > 1:
-                self._serve_concurrent_v4(
-                    connection,
-                    instance,
-                    config,
-                    options,
-                    fingerprint,
-                    send_lock,
-                    heartbeat,
-                )
-            else:
-                self._serve_sequential_v4(
-                    connection,
-                    instance,
-                    config,
-                    options,
-                    fingerprint,
-                    send_lock,
-                    heartbeat,
-                )
+            self._serve_chunks(
+                connection,
+                (instance, config, options),
+                fingerprint,
+                send_lock,
+                heartbeat,
+            )
         finally:
             if heartbeat is not None:
                 heartbeat.stop()
@@ -932,19 +783,37 @@ class WorkerServer:
         time.sleep(fault[1])
         return False
 
-    def _serve_sequential_v4(
-        self,
-        connection,
-        instance,
-        config,
-        options,
-        fingerprint,
-        send_lock,
-        heartbeat,
+    def _serve_chunks(
+        self, connection, context, fingerprint, send_lock, heartbeat
     ) -> None:
-        """v4 twin of :meth:`_serve_sequential` (one chunk in flight)."""
-        cache = self._open_cache()
-        transport = _V4Transport(connection, send_lock)
+        """The chunk loop: receive, compute, answer — until ``end``.
+
+        A capacity-1 session computes each chunk in this thread.  Wider
+        sessions only receive frames and submit chunks to a process
+        pool; pool completion callbacks send each result as it
+        finishes, so replies may be out of chunk order (the coordinator
+        keys them by chunk index).  The ``spawn`` start method keeps
+        the pool fork-free even though the server is multi-threaded.
+        """
+        instance, config, options = context
+        cache = pool = None
+        if self.capacity > 1:
+            pool = ProcessPoolExecutor(
+                max_workers=self.capacity,
+                mp_context=multiprocessing.get_context("spawn"),
+                initializer=_pool_initializer,
+                initargs=(
+                    instance,
+                    config,
+                    options,
+                    self._cache_dir,
+                    self._throttle,
+                    fingerprint,
+                ),
+            )
+        else:
+            cache = self._open_cache()
+        transport = _SessionTransport(connection, send_lock)
         chunks_accepted = 0
         try:
             while True:
@@ -962,106 +831,18 @@ class WorkerServer:
                     transport.send(transport.open(header))
                     continue
                 if kind == "end":
+                    # The coordinator only sends "end" after it has
+                    # received every in-flight result, so nothing is
+                    # computing for this session any more.
                     transport.collect_acks(header)
-                    if cache is not None:
-                        self._log(
-                            f"session done — {cache.stats.render()}"
-                        )
-                    return
-                if kind != "chunk":
-                    raise ProtocolError(
-                        f"expected a chunk frame, got {kind!r}"
-                    )
-                transport.collect_acks(header)
-                if (
-                    self._fail_after_chunks is not None
-                    and chunks_accepted >= self._fail_after_chunks
-                ):
                     self._log(
-                        f"fault injection: dropping connection before "
-                        f"chunk {header['chunk']}"
+                        "session done"
+                        + (
+                            f" — {cache.stats.render()}"
+                            if cache is not None
+                            else ""
+                        )
                     )
-                    return
-                if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
-                    return
-                chunk_id = header["chunk"]
-                tasks = decode_tasks(
-                    transport.chunk_payload(header, payload)
-                )
-                try:
-                    descriptor, buffer = _run_chunk_tasks(
-                        tasks,
-                        instance,
-                        config,
-                        options,
-                        cache,
-                        fingerprint if cache is not None else None,
-                        self._throttle,
-                    )
-                except Exception as exc:
-                    transport.send(
-                        {
-                            "type": "error",
-                            "chunk": chunk_id,
-                            "message": repr(exc),
-                            "traceback": traceback.format_exc(),
-                        },
-                    )
-                else:
-                    transport.send_result(
-                        {
-                            "type": "result",
-                            "chunk": chunk_id,
-                            "descriptor": descriptor,
-                        },
-                        buffer,
-                    )
-                chunks_accepted += 1
-        finally:
-            transport.close()
-
-    def _serve_concurrent_v4(
-        self,
-        connection,
-        instance,
-        config,
-        options,
-        fingerprint,
-        send_lock,
-        heartbeat,
-    ) -> None:
-        """v4 twin of :meth:`_serve_concurrent` (pooled chunk slots)."""
-        pool = ProcessPoolExecutor(
-            max_workers=self.capacity,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_initializer,
-            initargs=(
-                instance,
-                config,
-                options,
-                self._cache_dir,
-                self._throttle,
-                fingerprint,
-            ),
-        )
-        transport = _V4Transport(connection, send_lock)
-        chunks_accepted = 0
-        try:
-            while True:
-                try:
-                    header, payload = recv_json_message(connection)
-                except ConnectionClosed:
-                    return
-                kind = header["type"]
-                if kind == "ping":
-                    transport.send({"type": "pong"})
-                    continue
-                if kind == "shm":
-                    transport.send(transport.open(header))
-                    continue
-                if kind == "end":
-                    transport.collect_acks(header)
-                    self._log("session done")
                     return
                 if kind != "chunk":
                     raise ProtocolError(
@@ -1072,6 +853,8 @@ class WorkerServer:
                     self._fail_after_chunks is not None
                     and chunks_accepted >= self._fail_after_chunks
                 ):
+                    # Fault injection: vanish mid-chunk, exactly like a
+                    # worker killed while computing.
                     self._log(
                         f"fault injection: dropping connection before "
                         f"chunk {header['chunk']}"
@@ -1081,257 +864,89 @@ class WorkerServer:
                     return
                 chunk_id = header["chunk"]
                 data = transport.chunk_payload(header, payload)
-                future = pool.submit(_pool_run_chunk_v4, data)
-                future.add_done_callback(
-                    lambda done, chunk=chunk_id: (
-                        self._send_chunk_result_v4(
+                if pool is None:
+                    self._reply(
+                        transport,
+                        chunk_id,
+                        lambda: _run_chunk_tasks(
+                            decode_tasks(data),
+                            instance,
+                            config,
+                            options,
+                            cache,
+                            fingerprint,
+                            self._throttle,
+                        ),
+                    )
+                else:
+                    future = pool.submit(_pool_run_chunk, data)
+                    future.add_done_callback(
+                        lambda done, chunk=chunk_id: self._send_chunk_result(
                             connection, transport, chunk, done
                         )
                     )
-                )
                 chunks_accepted += 1
         finally:
-            # Abandon rather than join (see _serve_concurrent); close
-            # the transport only after the pool can no longer call back
-            # into it.
-            pool.shutdown(wait=False, cancel_futures=True)
+            if pool is not None:
+                # Abandon rather than join: on a fault-injected (or
+                # torn) session the in-flight chunks are already
+                # requeued on the coordinator; their pool processes
+                # finish their current task, write it back to the
+                # cache, and exit.
+                pool.shutdown(wait=False, cancel_futures=True)
+            # Closed only after the pool can no longer call back into it.
             transport.close()
 
-    def _send_chunk_result_v4(
-        self, connection, transport, chunk_id, future
-    ) -> None:
-        """v4 twin of :meth:`_send_chunk_result` (same failure policy).
+    @staticmethod
+    def _reply(transport, chunk_id, compute) -> None:
+        """Ship one chunk's result — or its task error — to the peer.
 
-        The transport serializes its own sends (one lock shared with
-        the session thread and the heartbeat sender).
+        Task exceptions become ``error`` frames: they would fail
+        identically anywhere, so the coordinator must not retry them.
+        A broken process pool is infrastructure death, not a task
+        error, and propagates to the caller.
         """
         try:
-            try:
-                descriptor, buffer = future.result()
-            except BrokenProcessPool as exc:
-                self._log(
-                    f"process pool broke on chunk {chunk_id}: {exc!r}"
-                )
-                try:
-                    connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-                return
-            except Exception as exc:
-                transport.send(
-                    {
-                        "type": "error",
-                        "chunk": chunk_id,
-                        "message": repr(exc),
-                        "traceback": "".join(
-                            traceback.format_exception(exc)
-                        ),
-                    },
-                )
-            else:
-                transport.send_result(
-                    {
-                        "type": "result",
-                        "chunk": chunk_id,
-                        "descriptor": descriptor,
-                    },
-                    buffer,
-                )
-        except BaseException as exc:
-            # The session is gone (connection closed mid-send) or the
-            # future was cancelled by a tearing-down pool; either way
-            # the coordinator requeues the chunk elsewhere.
-            self._log(f"result send failed for chunk {chunk_id}: {exc!r}")
-
-    def _serve_sequential(
-        self, connection, instance, config, options
-    ) -> None:
-        """One chunk in flight, computed in the session thread."""
-        cache = self._open_cache()
-        fingerprint = (
-            instance_fingerprint(instance) if cache is not None else None
+            descriptor, buffer = compute()
+        except BrokenProcessPool:
+            raise
+        except Exception as exc:
+            transport.send(
+                {
+                    "type": "error",
+                    "chunk": chunk_id,
+                    "message": repr(exc),
+                    "traceback": "".join(traceback.format_exception(exc)),
+                },
+            )
+            return
+        transport.send_result(
+            {"type": "result", "chunk": chunk_id, "descriptor": descriptor},
+            buffer,
         )
-        chunks_accepted = 0
-        while True:
-            try:
-                header, payload = recv_message(connection)
-            except ConnectionClosed:
-                return
-            if header["type"] == "end":
-                if cache is not None:
-                    self._log(f"session done — {cache.stats.render()}")
-                return
-            if header["type"] != "chunk":
-                raise ProtocolError(
-                    f"expected a chunk frame, got {header['type']!r}"
-                )
-            if (
-                self._fail_after_chunks is not None
-                and chunks_accepted >= self._fail_after_chunks
-            ):
-                # Fault injection: vanish mid-chunk, exactly like a
-                # worker killed while computing.
-                self._log(
-                    f"fault injection: dropping connection before "
-                    f"chunk {header['chunk']}"
-                )
-                return
-            chunk_id = header["chunk"]
-            tasks = pickle.loads(payload)
-            try:
-                descriptor, buffer = _run_chunk_tasks(
-                    tasks,
-                    instance,
-                    config,
-                    options,
-                    cache,
-                    fingerprint,
-                    self._throttle,
-                )
-            except Exception as exc:
-                send_message(
-                    connection,
-                    {
-                        "type": "error",
-                        "chunk": chunk_id,
-                        "message": repr(exc),
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            else:
-                send_message(
-                    connection,
-                    {
-                        "type": "result",
-                        "chunk": chunk_id,
-                        "descriptor": descriptor,
-                    },
-                    buffer_payload(buffer),
-                )
-            chunks_accepted += 1
-
-    def _serve_concurrent(
-        self, connection, instance, config, options
-    ) -> None:
-        """Up to ``capacity`` in-flight chunks on a process pool.
-
-        The session thread only receives frames and submits chunks;
-        pool completion callbacks send each result as it finishes, so
-        replies may be out of chunk order (the coordinator keys them by
-        chunk index).  The ``spawn`` start method keeps the fork-free
-        even though the server is multi-threaded.
-        """
-        pool = ProcessPoolExecutor(
-            max_workers=self.capacity,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_pool_initializer,
-            initargs=(
-                instance,
-                config,
-                options,
-                self._cache_dir,
-                self._throttle,
-            ),
-        )
-        send_lock = threading.Lock()
-        chunks_accepted = 0
-        try:
-            while True:
-                try:
-                    header, payload = recv_message(connection)
-                except ConnectionClosed:
-                    return
-                if header["type"] == "end":
-                    # The coordinator only sends "end" after it has
-                    # received every in-flight result, so nothing is
-                    # computing for this session any more.
-                    self._log("session done")
-                    return
-                if header["type"] != "chunk":
-                    raise ProtocolError(
-                        f"expected a chunk frame, got {header['type']!r}"
-                    )
-                if (
-                    self._fail_after_chunks is not None
-                    and chunks_accepted >= self._fail_after_chunks
-                ):
-                    self._log(
-                        f"fault injection: dropping connection before "
-                        f"chunk {header['chunk']}"
-                    )
-                    return
-                chunk_id = header["chunk"]
-                future = pool.submit(_pool_run_chunk, payload)
-                future.add_done_callback(
-                    lambda done, chunk=chunk_id: self._send_chunk_result(
-                        connection, send_lock, chunk, done
-                    )
-                )
-                chunks_accepted += 1
-        finally:
-            # Abandon rather than join: on a fault-injected (or torn)
-            # session the in-flight chunks are already requeued on the
-            # coordinator; their pool processes finish their current
-            # task, write it back to the cache, and exit.
-            pool.shutdown(wait=False, cancel_futures=True)
 
     def _send_chunk_result(
-        self, connection, send_lock, chunk_id, future
+        self, connection, transport, chunk_id, future
     ) -> None:
-        """Completion callback: ship one chunk's result or error.
+        """Pool completion callback: ship one chunk's result or error.
 
-        Task exceptions become ``error`` frames (they would fail
-        identically anywhere, so the coordinator must not retry them).
-        A *broken pool* — a child OOM-killed or segfaulted — is
-        infrastructure death, not a task error: drop the session
-        without replying, so the coordinator sees this worker as down
-        and requeues the chunk on survivors, exactly like a sequential
-        worker process dying.
+        A *broken pool* — a child OOM-killed or segfaulted — drops the
+        session without replying, so the coordinator sees this worker
+        as down and requeues the chunk on survivors, exactly like a
+        sequential worker process dying.
         """
         try:
+            self._reply(transport, chunk_id, future.result)
+        except BrokenProcessPool as exc:
+            self._log(f"process pool broke on chunk {chunk_id}: {exc!r}")
             try:
-                descriptor, buffer = future.result()
-            except BrokenProcessPool as exc:
-                self._log(
-                    f"process pool broke on chunk {chunk_id}: {exc!r}"
-                )
-                try:
-                    connection.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    connection.close()
-                except OSError:
-                    pass
-                return
-            except Exception as exc:
-                with send_lock:
-                    send_message(
-                        connection,
-                        {
-                            "type": "error",
-                            "chunk": chunk_id,
-                            "message": repr(exc),
-                            "traceback": "".join(
-                                traceback.format_exception(exc)
-                            ),
-                        },
-                    )
-            else:
-                with send_lock:
-                    send_message(
-                        connection,
-                        {
-                            "type": "result",
-                            "chunk": chunk_id,
-                            "descriptor": descriptor,
-                        },
-                        buffer_payload(buffer),
-                    )
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                connection.close()
+            except OSError:
+                pass
         except BaseException as exc:
             # The session is gone (connection closed mid-send) or the
             # future was cancelled by a tearing-down pool; either way

@@ -8,9 +8,9 @@ import pytest
 
 from repro.core.correlation_algorithm import AlgorithmOptions
 from repro.eval.dist import (
+    MAGIC,
     CodecError,
     ConnectionClosed,
-    MAGIC_V4,
     ProtocolError,
     decode_context,
     decode_tasks,
@@ -68,7 +68,7 @@ class TestJsonFraming:
         with _pipe() as (left, right):
             send_json_message(left, {"type": "ready", "protocol": 4})
             magic = right.recv(4, socket.MSG_PEEK)
-            assert magic == MAGIC_V4
+            assert magic == MAGIC
             raw = right.recv(1 << 16)
         # Past the 20-byte prefix the header reads as plain JSON text.
         assert raw[20:].startswith(b'{"type":"ready"')
@@ -93,7 +93,7 @@ class TestJsonFraming:
         blob = b"not json at all"
         with _pipe() as (left, right):
             left.sendall(
-                struct.pack("!4sQQ", MAGIC_V4, len(blob), 0) + blob
+                struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob
             )
             with pytest.raises(ProtocolError, match="malformed"):
                 recv_json_message(right)
@@ -104,7 +104,7 @@ class TestJsonFraming:
         blob = b'["type","chunk"]'
         with _pipe() as (left, right):
             left.sendall(
-                struct.pack("!4sQQ", MAGIC_V4, len(blob), 0) + blob
+                struct.pack("!4sQQ", MAGIC, len(blob), 0) + blob
             )
             with pytest.raises(ProtocolError, match="JSON object"):
                 recv_json_message(right)

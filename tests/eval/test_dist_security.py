@@ -1,15 +1,14 @@
 """Wire security: shared-secret handshake, TLS, fail-closed semantics.
 
 The invariant every test here defends: when a secret (or TLS) is
-configured, nothing a peer sends is unpickled — header or payload —
-until the handshake proves the peer holds the same configuration, and
+configured, nothing a peer sends is parsed — header or payload — until
+the handshake proves the peer holds the same configuration, and
 every mismatch fails *closed* with a clean
 :class:`~repro.exceptions.DistSecurityError` instead of a hang, a
 traceback, or (worst) a silently-accepted session.
 """
 
 import contextlib
-import pickle
 import socket
 import struct
 import threading
@@ -20,10 +19,8 @@ import pytest
 
 from repro.eval.dist import (
     AUTH_MAGIC,
-    AUTH_PROTOCOL_VERSION,
-    MAGIC,
-    PROTOCOL_BASE_VERSION,
     PROTOCOL_VERSION,
+    RETIRED_MAGIC,
     AuthError,
     ConnectionClosed,
     DistSecurityError,
@@ -125,7 +122,6 @@ class TestHandshake:
         outcome = _handshake_pair(SECRET, SECRET)
         assert outcome["client"] == PROTOCOL_VERSION
         assert outcome["server"] == PROTOCOL_VERSION
-        assert outcome["client"] >= AUTH_PROTOCOL_VERSION
 
     def test_wrong_secret_rejected_both_sides(self):
         outcome = _handshake_pair(b"not-the-secret", SECRET)
@@ -164,11 +160,11 @@ class TestHandshake:
                 server_handshake(right, SECRET)
 
     def test_legacy_frame_answering_auth_is_auth_error(self):
-        """A peer speaking pickled frames at the auth layer is refused
-        without parsing (unpickling) anything it sent."""
+        """A peer speaking session frames at the auth layer is refused
+        without parsing anything it sent."""
         with _pipe() as (left, right):
             send_message(left, {"type": "ready", "protocol": 1})
-            with pytest.raises(AuthError, match="legacy"):
+            with pytest.raises(AuthError, match="session frame"):
                 server_handshake(right, SECRET)
 
     def test_replayed_handshake_rejected(self):
@@ -234,14 +230,14 @@ class TestHandshake:
         ) != compute_mac(SECRET, b"C", b"\x01" * 16, b"\x02" * 16, 2)
 
     def test_pre_v3_peer_cannot_authenticate(self):
-        """An auth hello advertising only v2 is refused outright."""
+        """An auth hello from an older protocol version is refused."""
         with _pipe() as (left, right):
             _send_auth(
                 left,
                 HELLO_KIND,
-                _HELLO_BODY.pack(b"\x03" * 16, AUTH_PROTOCOL_VERSION - 1),
+                _HELLO_BODY.pack(b"\x03" * 16, PROTOCOL_VERSION - 1),
             )
-            with pytest.raises(AuthError, match="predates"):
+            with pytest.raises(AuthError, match="protocol mismatch"):
                 server_handshake(right, SECRET)
 
 
@@ -274,21 +270,23 @@ class TestSecretResolution:
 # ----------------------------------------------------------------------
 class TestWorkerFailClosed:
     def test_v2_peer_refused_before_payload_exchange(self):
-        """A legacy (v2) init against a secret-configured worker is
-        answered with a clean error frame — and neither the pickled
-        header nor the payload is ever read, proven by sending bytes
-        that would raise if unpickled."""
-        poison = b"\x80\x04not a pickle at all"
+        """A retired-framing (pickled-header) init against a
+        secret-configured worker is answered with a clean error frame —
+        and neither the header nor the payload is ever parsed, proven
+        by sending bytes that no decoder accepts."""
+        poison = b"\x80\x04not a frame header at all"
         with worker_fleet(1, secret=SECRET) as servers:
             sock = socket.create_connection(
                 (servers[0].host, servers[0].port), timeout=5
             )
             try:
-                # A hand-built v2 init whose header *and* payload are
+                # A hand-built init whose header *and* payload are
                 # poisoned: a worker that touched either would blow up
                 # before replying.
                 sock.sendall(
-                    struct.pack("!4sQQ", MAGIC, len(poison), len(poison))
+                    struct.pack(
+                        "!4sQQ", RETIRED_MAGIC, len(poison), len(poison)
+                    )
                     + poison
                     + poison
                 )
@@ -629,7 +627,7 @@ class TestConnectionClosedPaths:
 
             thread = threading.Thread(target=old_worker)
             thread.start()
-            with pytest.raises(AuthError, match="pre-v3"):
+            with pytest.raises(AuthError, match="does not speak"):
                 client_handshake(left, SECRET)
             thread.join(timeout=10)
 
