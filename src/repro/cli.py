@@ -78,19 +78,19 @@ coordinator requeues them on the survivors).
 
 Wire: coordinators and workers speak one protocol version — JSON-header
 frames carrying the schema'd binary codec (pickle-free in both
-directions) — and, for same-host sessions, a shared-memory data plane;
-``--transport`` picks the data plane.  A peer from a build with another
+directions) over the session socket.  A peer from a build with another
 protocol version is refused with a clean error.
 
 Fault tolerance (remote backend): connects retry with jittered
 exponential backoff (``--connect-attempts``); hung-but-connected
 workers are detected by heartbeat (``--heartbeat-interval``) or a hard
-per-chunk budget (``--chunk-deadline``) and their chunks requeued; and
+per-chunk budget (``--chunk-deadline``) and their chunks requeued;
+``--straggler-timeout`` speculatively re-runs slow chunks; and
 ``--on-fleet-loss serial`` finishes a sweep in-process when every
 worker is gone.  ``--journal PATH`` appends each settled chunk to a
 crash-safe journal so a coordinator killed mid-sweep completes with
 ``--resume`` without recomputing settled work; ``--dist-stats`` prints
-the sweep's fault/transport counters.  None of this changes figure
+the sweep's fault counters.  None of this changes figure
 data — every recovery path is bit-identical at a fixed seed.
 
 ``repro-tomography worker`` runs one worker process: it listens for a
@@ -821,6 +821,12 @@ _deadline_seconds = _numeric_flag(
     minimum=0,
     hint=">= 0 seconds (0 = no deadline)",
 )
+_straggler_seconds = _numeric_flag(
+    "straggler-timeout",
+    float,
+    minimum=0,
+    hint=">= 0 seconds (0 = no speculation)",
+)
 _connect_attempts = _numeric_flag(
     "connect-attempts", int, minimum=1, hint=">= 1"
 )
@@ -898,25 +904,14 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--straggler-timeout",
-        type=float,
+        type=_straggler_seconds,
         default=None,
         metavar="SECONDS",
         help=(
             "remote backend only: speculatively re-run a chunk "
             "outstanding longer than this on an idle worker (first "
-            "result wins; results unchanged)"
-        ),
-    )
-    parser.add_argument(
-        "--transport",
-        choices=("auto", "shm", "socket"),
-        default="auto",
-        help=(
-            "remote backend only: session data plane — 'auto' "
-            "(default) uses shared memory for same-host workers and "
-            "the socket elsewhere, 'shm' offers shared memory to every "
-            "worker, 'socket' never does; results are bit-identical "
-            "either way"
+            "result wins; results unchanged; default and 0: no "
+            "speculation)"
         ),
     )
     parser.add_argument(
@@ -1021,10 +1016,9 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
         "--dist-stats",
         action="store_true",
         help=(
-            "remote backend only: print the sweep's fault/transport "
-            "counters (sessions, retries, losses, heartbeat/deadline "
-            "timeouts, requeued chunks, shm inline fallbacks) after "
-            "the run"
+            "remote backend only: print the sweep's fault counters "
+            "(sessions, retries, losses, heartbeat/deadline timeouts, "
+            "requeued chunks, in-process fallbacks) after the run"
         ),
     )
     _add_security_arguments(parser, role="coordinator")
@@ -1171,6 +1165,7 @@ def _robustness_flags_requested(args) -> bool:
     return any(
         getattr(args, name, None) is not None
         for name in (
+            "straggler_timeout",
             "heartbeat_interval",
             "chunk_deadline",
             "connect_attempts",
@@ -1182,12 +1177,15 @@ def _robustness_flags_requested(args) -> bool:
 def _robustness_kwargs(args) -> dict:
     """RemoteExecutor kwargs from the fault-tolerance flags.
 
-    Unset flags are omitted so the executor's own defaults (15 s
-    heartbeat, no deadline, 3 connect attempts, fail on fleet loss)
-    stay the single source of truth; explicit zeros disable the
-    corresponding timer.
+    Unset flags are omitted so the executor's own defaults (no
+    speculation, 15 s heartbeat, no deadline, 3 connect attempts, fail
+    on fleet loss) stay the single source of truth; explicit zeros
+    disable the corresponding timer.
     """
     kwargs: dict = {}
+    straggler = getattr(args, "straggler_timeout", None)
+    if straggler is not None:
+        kwargs["straggler_timeout"] = straggler or None
     heartbeat = getattr(args, "heartbeat_interval", None)
     if heartbeat is not None:
         kwargs["heartbeat_interval"] = heartbeat or None
@@ -1287,9 +1285,9 @@ def _make_executor(args):
         # Same policy: these tune a worker fleet that does not exist
         # on serial/pooled backends.
         raise SystemExit(
-            "error: --heartbeat-interval/--chunk-deadline/"
-            "--connect-attempts/--on-fleet-loss/--dist-stats only "
-            "apply to --backend remote"
+            "error: --straggler-timeout/--heartbeat-interval/"
+            "--chunk-deadline/--connect-attempts/--on-fleet-loss/"
+            "--dist-stats only apply to --backend remote"
         )
     if backend is None:
         return None
@@ -1323,10 +1321,8 @@ def _make_executor(args):
             )
         return RemoteExecutor(
             _parse_hosts_or_exit(hosts),
-            straggler_timeout=args.straggler_timeout,
             secret=secret,
             ssl_context=ssl_context,
-            transport=getattr(args, "transport", "auto"),
             **_robustness_kwargs(args),
         )
     if tls_ca is not None and tls_cert is None:
@@ -1407,10 +1403,8 @@ def _make_executor(args):
             ) from None
     return RemoteExecutor(
         launcher=launcher,
-        straggler_timeout=args.straggler_timeout,
         secret=secret,
         ssl_context=ssl_context,
-        transport=getattr(args, "transport", "auto"),
         **_robustness_kwargs(args),
     )
 

@@ -8,8 +8,7 @@ algorithmic one:
 and process-pool executors, and :class:`WorkerServer` turns any
 reachable Python process into a worker.  There is one wire: JSON-header
 frames carrying schema'd binary payloads (:mod:`repro.eval.dist.codec`)
-over the socket or same-host shared-memory rings, with no pickle in
-either direction.  See :mod:`repro.eval.dist.protocol` for the framing,
+over the session socket, with no pickle in either direction.  See :mod:`repro.eval.dist.protocol` for the framing,
 :mod:`repro.eval.dist.coordinator` for the fault-tolerant scheduler, and
 ``docs/ARCHITECTURE.md`` for the full design.
 """
@@ -82,15 +81,6 @@ from repro.eval.dist.protocol import (
     send_json_message,
     send_message,
 )
-from repro.eval.dist.shm import (
-    CRC_LAYOUT,
-    SHM_PREFIX,
-    ShmError,
-    ShmRing,
-    attach_ring,
-    create_ring,
-    host_is_loopback,
-)
 from repro.eval.dist.worker import WorkerServer
 
 __all__ = [
@@ -139,13 +129,6 @@ __all__ = [
     "decode_context",
     "encode_tasks",
     "decode_tasks",
-    "ShmRing",
-    "ShmError",
-    "SHM_PREFIX",
-    "CRC_LAYOUT",
-    "create_ring",
-    "attach_ring",
-    "host_is_loopback",
     "client_handshake",
     "server_handshake",
     "resolve_secret",

@@ -8,13 +8,9 @@ triple exactly once per session as a canonical-JSON context
 a list of :class:`repro.eval.parallel.ScenarioTask` records as
 fixed-width struct records, and the worker answers with the chunk's
 error vectors as one packed float64 payload (the same transport the
-in-host pool uses).  Nothing a peer sends is ever unpickled.
-
-Data plane: a session may move its chunk and result payloads through
-same-host shared-memory rings (:mod:`repro.eval.dist.shm`): the
-coordinator offers the rings in a ``shm`` frame, the worker attaches
-(or nacks back to inline socket payloads), and from then on data-plane
-frames carry ``slot``/``size`` references instead of bytes.
+in-host pool uses).  Nothing a peer sends is ever unpickled.  The
+session socket is the only data plane: any frame other than ``ping``,
+``chunk`` or ``end`` after ``ready`` ends the session.
 
 Capacity: the ``ready`` frame advertises the worker's *capacity* — how
 many chunks it can compute at once (``repro-tomography worker``
@@ -87,7 +83,6 @@ from repro.eval.dist.protocol import (
     send_json_message,
 )
 from repro.eval.dist.faults import active_plan
-from repro.eval.dist.shm import ShmError, attach_ring
 from repro.eval.parallel import _execute_task, _pack_error_dicts
 
 __all__ = ["WorkerServer"]
@@ -243,142 +238,6 @@ class _HeartbeatSender:
 
     def stop(self) -> None:
         self._stop.set()
-
-
-class _SessionTransport:
-    """One session's data plane: inline socket bytes, or shm rings.
-
-    Starts inline; an accepted ``shm`` frame attaches the
-    coordinator-created rings, after which chunk payloads are read from
-    ``slot``/``size`` references and results are written into the
-    result ring whenever a free slot fits them (inline fallback
-    otherwise — shm is an optimisation, never a correctness
-    dependency).  The worker owns the result ring's free list; the
-    coordinator returns consumed slots in the ``ack`` field of its
-    chunk/end frames.
-    """
-
-    def __init__(self, connection, send_lock=None) -> None:
-        self._connection = connection
-        # All session sends — results, errors, control replies, and the
-        # heartbeat sender's pongs — serialize on this one lock so
-        # frames never interleave on the socket.
-        self._send_lock = (
-            send_lock if send_lock is not None else threading.Lock()
-        )
-        self._chunk_ring = None
-        self._result_ring = None
-        self._free_slots: list[int] = []
-        self._free_lock = threading.Lock()
-
-    @property
-    def using_shm(self) -> bool:
-        return self._chunk_ring is not None
-
-    def open(self, header: dict) -> dict:
-        """Attach the offered rings; returns the shm-ok/shm-nack reply."""
-        if self.using_shm:
-            return {
-                "type": "shm-nack",
-                "message": "session already has shared-memory rings",
-            }
-        chunk_ring = None
-        try:
-            chunk_spec = header["chunk_ring"]
-            result_spec = header["result_ring"]
-            chunk_ring = attach_ring(
-                chunk_spec["name"],
-                int(chunk_spec["slots"]),
-                int(chunk_spec["slot_size"]),
-                layout=chunk_spec.get("layout"),
-            )
-            result_ring = attach_ring(
-                result_spec["name"],
-                int(result_spec["slots"]),
-                int(result_spec["slot_size"]),
-                layout=result_spec.get("layout"),
-            )
-        except (ShmError, KeyError, TypeError, ValueError) as exc:
-            if chunk_ring is not None:
-                chunk_ring.close()
-            return {"type": "shm-nack", "message": str(exc)}
-        self._chunk_ring = chunk_ring
-        self._result_ring = result_ring
-        self._free_slots = list(range(result_ring.n_slots))
-        return {"type": "shm-ok"}
-
-    def collect_acks(self, header: dict) -> None:
-        """Return coordinator-consumed result slots to the free list."""
-        slots = header.get("ack")
-        if not slots:
-            return
-        with self._free_lock:
-            self._free_slots.extend(int(slot) for slot in slots)
-
-    def chunk_payload(self, header: dict, payload: bytes) -> bytes:
-        """The chunk's encoded tasks, wherever the frame put them.
-
-        Shm slots are copied out immediately: the coordinator reuses a
-        chunk slot as soon as this chunk is answered, and the
-        concurrent path answers from pool callbacks long after this
-        read.
-        """
-        if "slot" not in header:
-            return payload
-        if self._chunk_ring is None:
-            raise ProtocolError(
-                "chunk frame references a shm slot but the session "
-                "has no shared-memory rings"
-            )
-        view = self._chunk_ring.read(
-            int(header["slot"]), int(header["size"])
-        )
-        try:
-            return bytes(view)
-        finally:
-            view.release()
-
-    def send(self, header: dict, payload: bytes = b"") -> None:
-        """Send one control frame under the session's send lock."""
-        with self._send_lock:
-            send_json_message(self._connection, header, payload)
-
-    def send_result(self, header: dict, buffer) -> None:
-        """Ship one result: via a free shm slot if it fits, else inline.
-
-        Socket sends hold the session's send lock (pool callbacks and
-        the heartbeat sender share the socket); the free list has its
-        own lock because acks return slots from the session thread
-        while callbacks claim them.
-        """
-        payload = buffer_payload(buffer)
-        size = len(payload)
-        slot = None
-        if (
-            self._result_ring is not None
-            and size <= self._result_ring.slot_size
-        ):
-            with self._free_lock:
-                if self._free_slots:
-                    slot = self._free_slots.pop()
-        if slot is None:
-            self.send(header, payload)
-            return
-        try:
-            self._result_ring.write(slot, payload)
-        except ShmError:
-            with self._free_lock:
-                self._free_slots.append(slot)
-            self.send(header, payload)
-            return
-        self.send(dict(header, slot=slot, size=size))
-
-    def close(self) -> None:
-        for ring in (self._chunk_ring, self._result_ring):
-            if ring is not None:
-                ring.close()
-        self._chunk_ring = None
-        self._result_ring = None
 
 
 class WorkerServer:
@@ -813,7 +672,13 @@ class WorkerServer:
             )
         else:
             cache = self._open_cache()
-        transport = _SessionTransport(connection, send_lock)
+
+        def send(header: dict, payload: bytes = b"") -> None:
+            # Results, errors, pongs and the heartbeat sender's beats
+            # serialize on one lock so frames never interleave.
+            with send_lock:
+                send_json_message(connection, header, payload)
+
         chunks_accepted = 0
         try:
             while True:
@@ -825,16 +690,12 @@ class WorkerServer:
                 if kind == "ping":
                     # Coordinator liveness probe: answer immediately,
                     # even between heartbeat beats.
-                    transport.send({"type": "pong"})
-                    continue
-                if kind == "shm":
-                    transport.send(transport.open(header))
+                    send({"type": "pong"})
                     continue
                 if kind == "end":
                     # The coordinator only sends "end" after it has
                     # received every in-flight result, so nothing is
                     # computing for this session any more.
-                    transport.collect_acks(header)
                     self._log(
                         "session done"
                         + (
@@ -848,7 +709,6 @@ class WorkerServer:
                     raise ProtocolError(
                         f"expected a chunk frame, got {kind!r}"
                     )
-                transport.collect_acks(header)
                 if (
                     self._fail_after_chunks is not None
                     and chunks_accepted >= self._fail_after_chunks
@@ -863,13 +723,12 @@ class WorkerServer:
                 if self._apply_chunk_fault(chunks_accepted + 1, heartbeat):
                     return
                 chunk_id = header["chunk"]
-                data = transport.chunk_payload(header, payload)
                 if pool is None:
                     self._reply(
-                        transport,
+                        send,
                         chunk_id,
                         lambda: _run_chunk_tasks(
-                            decode_tasks(data),
+                            decode_tasks(payload),
                             instance,
                             config,
                             options,
@@ -879,10 +738,10 @@ class WorkerServer:
                         ),
                     )
                 else:
-                    future = pool.submit(_pool_run_chunk, data)
+                    future = pool.submit(_pool_run_chunk, payload)
                     future.add_done_callback(
                         lambda done, chunk=chunk_id: self._send_chunk_result(
-                            connection, transport, chunk, done
+                            connection, send, chunk, done
                         )
                     )
                 chunks_accepted += 1
@@ -894,11 +753,9 @@ class WorkerServer:
                 # finish their current task, write it back to the
                 # cache, and exit.
                 pool.shutdown(wait=False, cancel_futures=True)
-            # Closed only after the pool can no longer call back into it.
-            transport.close()
 
     @staticmethod
-    def _reply(transport, chunk_id, compute) -> None:
+    def _reply(send, chunk_id, compute) -> None:
         """Ship one chunk's result — or its task error — to the peer.
 
         Task exceptions become ``error`` frames: they would fail
@@ -911,7 +768,7 @@ class WorkerServer:
         except BrokenProcessPool:
             raise
         except Exception as exc:
-            transport.send(
+            send(
                 {
                     "type": "error",
                     "chunk": chunk_id,
@@ -920,14 +777,12 @@ class WorkerServer:
                 },
             )
             return
-        transport.send_result(
+        send(
             {"type": "result", "chunk": chunk_id, "descriptor": descriptor},
-            buffer,
+            buffer_payload(buffer),
         )
 
-    def _send_chunk_result(
-        self, connection, transport, chunk_id, future
-    ) -> None:
+    def _send_chunk_result(self, connection, send, chunk_id, future) -> None:
         """Pool completion callback: ship one chunk's result or error.
 
         A *broken pool* — a child OOM-killed or segfaulted — drops the
@@ -936,7 +791,7 @@ class WorkerServer:
         sequential worker process dying.
         """
         try:
-            self._reply(transport, chunk_id, future.result)
+            self._reply(send, chunk_id, future.result)
         except BrokenProcessPool as exc:
             self._log(f"process pool broke on chunk {chunk_id}: {exc!r}")
             try:

@@ -1,13 +1,13 @@
-"""Golden digests of a remote sweep over every data plane.
+"""Golden digests of a remote sweep over every fleet setup.
 
 The distributed backend's contract is that a remote sweep returns the
-serial sweep's error vectors to the last bit, whichever transport or
-security layer carries them.  These digests pin that answer in stored
+serial sweep's error vectors to the last bit, whichever security
+layer carries them.  These digests pin that answer in stored
 values rather than in a live comparison against a second wire: they
 were recorded from a *serial* run of :data:`TASKS` on the small
 PlanetLab fixture, and each fleet below must reproduce them through
-:class:`~repro.eval.dist.RemoteExecutor` — plain socket payloads,
-shared-memory rings, and a shared secret over TLS.
+:class:`~repro.eval.dist.RemoteExecutor` — a plain socket, and a
+shared secret over TLS.
 
 Each digest is the sha256 of one trial's error vectors, in sorted name
 order (name, then the float64 bytes).  Regenerate with
@@ -91,9 +91,7 @@ def tls_material(tmp_path_factory):
 def _fleet_setup(name, tls_material):
     """``(worker kwargs, executor kwargs)`` for one golden fleet."""
     if name == "socket":
-        return {}, {"transport": "socket"}
-    if name == "shm":
-        return {}, {"transport": "shm"}
+        return {}, {}
     return (
         {
             "secret": SECRET,
@@ -109,7 +107,7 @@ def _fleet_setup(name, tls_material):
 
 
 @pytest.mark.timeout(120)
-@pytest.mark.parametrize("setup", ["socket", "shm", "secret-tls"])
+@pytest.mark.parametrize("setup", ["socket", "secret-tls"])
 def test_remote_sweep_matches_golden_digests(
     planetlab_small, tls_material, setup
 ):
@@ -119,8 +117,6 @@ def test_remote_sweep_matches_golden_digests(
         results = run_scenario_tasks(
             planetlab_small, make_tasks(), config=CONFIG, executor=executor
         )
-    if setup == "shm":
-        assert executor.last_sweep_stats.shm_sessions == 2
     assert [trial_digest(errors) for errors in results] == GOLDEN
 
 

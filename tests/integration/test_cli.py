@@ -222,6 +222,36 @@ class TestDistributedFlags:
                 ]
             )
 
+    def test_straggler_timeout_reaches_executor(self):
+        argv = ["figure3", "--hosts", "a:7100", "--straggler-timeout"]
+        assert self._executor(argv + ["5"]).straggler_timeout == 5.0
+        # 0 means no speculation, the same as leaving the flag unset.
+        assert self._executor(argv + ["0"]).straggler_timeout is None
+
+    def test_negative_straggler_timeout_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(
+                ["figure3", "--hosts", "a:7100", "--straggler-timeout", "-3"]
+            )
+        assert excinfo.value.code == 2
+        assert "straggler-timeout must be >= 0" in capsys.readouterr().err
+
+    def test_straggler_timeout_rejected_off_remote(self):
+        """Like its remote-only siblings, the flag is refused where no
+        worker fleet exists instead of being silently ignored."""
+        with pytest.raises(SystemExit, match="--straggler-timeout"):
+            self._executor(
+                [
+                    "figure3",
+                    "--trials",
+                    "1",
+                    "--backend",
+                    "serial",
+                    "--straggler-timeout",
+                    "5",
+                ]
+            )
+
 
 class TestSecurityFlags:
     """--secret-file/--tls-* resolution, guards, and executor wiring."""
