@@ -87,11 +87,12 @@ workers are detected by heartbeat (``--heartbeat-interval``) or a hard
 per-chunk budget (``--chunk-deadline``) and their chunks requeued;
 ``--straggler-timeout`` speculatively re-runs slow chunks; and
 ``--on-fleet-loss serial`` finishes a sweep in-process when every
-worker is gone.  ``--journal PATH`` appends each settled chunk to a
-crash-safe journal so a coordinator killed mid-sweep completes with
-``--resume`` without recomputing settled work; ``--dist-stats`` prints
-the sweep's fault counters.  None of this changes figure
-data — every recovery path is bit-identical at a fixed seed.
+worker is gone.  A coordinator killed mid-sweep resumes by rerunning
+the same command against the same ``--cache-dir``: settled trials are
+fsync'd to the trial cache and load without recompute.
+``--dist-stats`` prints the sweep's fault counters.  None of this
+changes figure data — every recovery path is bit-identical at a fixed
+seed.
 
 ``repro-tomography worker`` runs one worker process: it listens for a
 coordinator, receives the instance/config once per sweep, and serves
@@ -127,27 +128,23 @@ import sys
 
 import numpy as np
 
-from repro.eval.dist.journal import JournalError
 from repro.exceptions import DistSecurityError
 
 __all__ = ["main", "build_parser"]
 
 
 def _version_string() -> str:
-    """Package, wire-protocol, and journal-format versions in one line.
+    """Package and wire-protocol versions in one line.
 
     Operators pin fleets by these: coordinators and workers must share
-    the wire protocol number, and ``--resume`` refuses journals written
-    by a different journal format.
+    the wire protocol number.
     """
     from repro import __version__
-    from repro.eval.dist.journal import JOURNAL_VERSION, MAGIC
     from repro.eval.dist.protocol import PROTOCOL_VERSION
 
     return (
         f"repro-tomography {__version__} "
-        f"(wire protocol v{PROTOCOL_VERSION}, "
-        f"journal format v{JOURNAL_VERSION} [{MAGIC.decode('ascii')}])"
+        f"(wire protocol v{PROTOCOL_VERSION})"
     )
 
 
@@ -166,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--version",
         action="version",
         version=_version_string(),
-        help="print package, wire-protocol, and journal-format versions",
+        help="print package and wire-protocol versions",
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
@@ -205,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig4.add_argument(
         "--fraction",
-        type=float,
+        type=_fraction,
         default=0.25,
         help="fraction of congested links that are unidentifiable",
     )
@@ -220,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fig5.add_argument(
         "--fraction",
-        type=float,
+        type=_fraction,
         default=0.25,
         help="fraction of congested links targeted by the hidden flood",
     )
@@ -830,6 +827,10 @@ _straggler_seconds = _numeric_flag(
 _connect_attempts = _numeric_flag(
     "connect-attempts", int, minimum=1, hint=">= 1"
 )
+_trial_count = _numeric_flag("trials", int, minimum=1, hint=">= 1")
+_fraction = _numeric_flag(
+    "fraction", float, minimum=0, maximum=1, hint="in [0, 1]"
+)
 
 
 def _common_figure_arguments(parser: argparse.ArgumentParser) -> None:
@@ -841,7 +842,7 @@ def _common_figure_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--trials",
-        type=int,
+        type=_trial_count,
         default=1,
         help="experiments pooled per data point",
     )
@@ -943,27 +944,6 @@ def _workers_argument(parser: argparse.ArgumentParser) -> None:
             "capacities for autolaunched workers (one value per "
             "worker, or a single value for all; default: 1 each for "
             "--launch local, the remote CPU count for --launch ssh)"
-        ),
-    )
-    parser.add_argument(
-        "--journal",
-        default=None,
-        metavar="PATH",
-        help=(
-            "append each settled chunk to a crash-safe sweep journal "
-            "at PATH (fsync'd per chunk); a run killed mid-sweep can "
-            "be completed with --resume without recomputing settled "
-            "work"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "replay settled chunks from --journal before computing "
-            "(refused if the journal belongs to a different sweep); "
-            "the finished figure is bit-identical to an uninterrupted "
-            "run"
         ),
     )
     parser.add_argument(
@@ -1201,21 +1181,6 @@ def _robustness_kwargs(args) -> dict:
     return kwargs
 
 
-def _make_journal(args):
-    """Build the SweepJournal requested by --journal/--resume (or None)."""
-    path = getattr(args, "journal", None)
-    if path is None:
-        if getattr(args, "resume", False):
-            raise SystemExit(
-                "error: --resume needs --journal PATH (the journal the "
-                "interrupted run was writing)"
-            )
-        return None
-    from repro.eval.dist.journal import SweepJournal
-
-    return SweepJournal(path, resume=getattr(args, "resume", False))
-
-
 def _print_dist_stats(args, executor) -> None:
     if not getattr(args, "dist_stats", False):
         return
@@ -1426,7 +1391,15 @@ def _make_cache(args):
     directory = resolve_cache_dir(
         args.cache_dir, disabled=args.no_cache
     )
-    return TrialCache(directory) if directory is not None else None
+    if directory is None:
+        return None
+    try:
+        return TrialCache(directory)
+    except OSError as exc:
+        raise SystemExit(
+            f"error: --cache-dir {directory} is not a usable "
+            f"directory: {exc.strerror or exc}"
+        ) from None
 
 
 def _print_cache_stats(args, cache) -> None:
@@ -1526,7 +1499,6 @@ def _run_figure3(args) -> int:
         workers=args.workers,
         cache=cache,
         executor=executor,
-        journal=_make_journal(args),
     )
     print(render_sweep(result))
     _print_cache_stats(args, cache)
@@ -1547,7 +1519,6 @@ def _run_figure3_cdf(args) -> int:
         workers=args.workers,
         cache=cache,
         executor=executor,
-        journal=_make_journal(args),
     )
     panel = "3(c)" if args.level == "high" else "3(d)"
     print(render_cdf(result, title=f"Figure {panel} — {args.level}"))
@@ -1570,7 +1541,6 @@ def _run_figure4(args) -> int:
         workers=args.workers,
         cache=cache,
         executor=executor,
-        journal=_make_journal(args),
     )
     print(
         render_cdf(
@@ -1600,7 +1570,6 @@ def _run_figure5(args) -> int:
         workers=args.workers,
         cache=cache,
         executor=executor,
-        journal=_make_journal(args),
     )
     print(
         render_cdf(
@@ -2210,12 +2179,6 @@ def main(argv=None) -> int:
         # Fail-closed security refusals (wrong secret, one-sided
         # secret, TLS/plaintext mismatch) are operator guidance, not
         # bugs: one clean line instead of a traceback.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except JournalError as exc:
-        # Likewise: a journal that belongs to a different sweep (or a
-        # file that is not a journal) is an operator mistake with a
-        # clear remedy, not a stack trace.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

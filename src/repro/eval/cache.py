@@ -35,12 +35,13 @@ On-disk layout
     string array, i.e. *exactly* what the worker returned, so cached and
     recomputed runs are bit-identical.
 
-Atomicity
-    Writes go to a ``tempfile`` in the destination shard and are
-    published with :func:`os.replace`, so concurrent sweeps sharing one
-    store never observe torn entries; the last writer of identical
-    content wins harmlessly.  Unreadable entries (however produced) are
-    treated as misses and overwritten.  A run killed between ``mkstemp``
+Atomicity and durability
+    Writes go to a ``tempfile`` in the destination shard, are fsync'd,
+    and are published with :func:`os.replace` followed by an fsync of
+    the shard directory, so a settled trial survives power loss and
+    concurrent sweeps sharing one store never observe torn entries; the
+    last writer of identical content wins harmlessly.  Unreadable
+    entries (however produced) are treated as misses and overwritten.  A run killed between ``mkstemp``
     and ``os.replace`` strands its ``*.tmp`` file; opening a cache
     opportunistically sweeps tmp files older than
     :data:`PRUNE_TMP_MAX_AGE` (see :meth:`TrialCache.prune_tmp`), so
@@ -51,6 +52,9 @@ CLI integration (see :mod:`repro.cli`)
     ``REPRO_CACHE_DIR`` environment variable supplies a default),
     ``--no-cache`` forces caching off even when the variable is set, and
     ``--cache-stats`` prints the hit/miss/store line after the run.
+    The cache is also the crash-safe resume path: rerunning a killed
+    sweep against the same store recomputes only the trials it had not
+    settled, and prints exactly what an uninterrupted run prints.
 """
 
 from __future__ import annotations
@@ -246,7 +250,12 @@ class TrialCache:
         return errors
 
     def put(self, key: str, errors: dict[str, np.ndarray]) -> None:
-        """Atomically write one entry (publish via ``os.replace``)."""
+        """Atomically and durably write one entry.
+
+        The tmp file is fsync'd before :func:`os.replace` publishes it,
+        and the shard directory after, so an entry that ``put`` has
+        returned for survives power loss, not only a killed process.
+        """
         path = self._entry_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
         names = list(errors)
@@ -260,7 +269,10 @@ class TrialCache:
         try:
             with os.fdopen(descriptor, "wb") as handle:
                 np.savez(handle, names=np.array(names, dtype=str), **arrays)
+                handle.flush()
+                os.fsync(handle.fileno())
             os.replace(tmp_name, path)
+            _fsync_directory(path.parent)
         except BaseException:
             try:
                 os.unlink(tmp_name)
@@ -377,6 +389,15 @@ class TrialCache:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TrialCache({str(self.root)!r}, {self.stats.render()})"
+
+
+def _fsync_directory(directory: pathlib.Path) -> None:
+    """Make a rename inside ``directory`` durable."""
+    descriptor = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(descriptor)
+    finally:
+        os.close(descriptor)
 
 
 def resolve_cache_dir(

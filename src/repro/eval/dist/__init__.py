@@ -52,12 +52,6 @@ from repro.eval.dist.faults import (
     active_plan,
     plan_from_env,
 )
-from repro.eval.dist.journal import (
-    JournalError,
-    JournalMismatchError,
-    SweepJournal,
-    sweep_fingerprint,
-)
 from repro.eval.dist.launch import (
     LaunchedWorker,
     LaunchError,
@@ -93,10 +87,6 @@ __all__ = [
     "SweepStats",
     "WorkerUnresponsiveError",
     "ChunkDeadlineExceeded",
-    "SweepJournal",
-    "JournalError",
-    "JournalMismatchError",
-    "sweep_fingerprint",
     "faults",
     "FaultPlan",
     "FaultSpecError",

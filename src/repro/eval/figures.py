@@ -177,7 +177,6 @@ def _pooled_errors(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> dict[str, np.ndarray]:
     """Run ``n_trials`` experiments, pooling per-link errors."""
@@ -192,7 +191,6 @@ def _pooled_errors(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     return pool_errors(tasks, results, 1)[0]
@@ -253,16 +251,15 @@ def figure3_sweep(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> SweepResult:
     """Figures 3(a) and 3(b): error statistics vs congested fraction.
 
     The whole sweep — every ``(fraction, trial)`` pair — is flattened
     into one task list before dispatch, so parallelism spans x-axis
-    points as well as trials.  ``journal`` (a
-    :class:`repro.eval.dist.journal.SweepJournal`) makes settled chunks
-    crash-durable and resumable.
+    points as well as trials.  ``cache`` (a
+    :class:`repro.eval.cache.TrialCache`) makes settled trials
+    crash-durable, so a rerun resumes where a killed sweep stopped.
     """
     instance = instance or default_instance("brite", scale=scale, seed=seed)
     config = config or default_config(scale)
@@ -275,7 +272,6 @@ def figure3_sweep(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     pooled = pool_errors(tasks, results, len(fractions))
@@ -313,7 +309,6 @@ def figure3_cdf(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> CdfResult:
     """Figure 3(c) (``correlation_level="high"``) / 3(d) (``"loose"``)."""
@@ -342,7 +337,6 @@ def figure3_cdf(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     grid = np.asarray(grid, dtype=np.float64)
@@ -376,7 +370,6 @@ def figure4_cdf(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> CdfResult:
     """Figure 4: CDFs with a fraction of congested links unidentifiable."""
@@ -396,7 +389,6 @@ def figure4_cdf(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     grid = np.asarray(grid, dtype=np.float64)
@@ -430,7 +422,6 @@ def figure5_cdf(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> CdfResult:
     """Figure 5: CDFs with a fraction of congested links mislabeled."""
@@ -450,7 +441,6 @@ def figure5_cdf(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     grid = np.asarray(grid, dtype=np.float64)

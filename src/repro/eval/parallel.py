@@ -516,7 +516,6 @@ def run_scenario_tasks(
     workers: int | None = None,
     cache=None,
     executor: TaskExecutor | None = None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> list[dict[str, np.ndarray]]:
     """Execute tasks, preserving task order in the result list.
@@ -539,12 +538,11 @@ def run_scenario_tasks(
     before a :class:`ScenarioTaskError` naming the lost task indices is
     raised.
 
-    With ``journal`` (a :class:`repro.eval.dist.journal.SweepJournal`),
-    every settled chunk is additionally appended — fsync'd — to an
-    append-only journal file; a journal opened with ``resume=True``
-    replays its settled chunks first, exactly like cache hits, so a run
-    whose *coordinator* died mid-sweep (SIGKILL, OOM) restarts without
-    recomputing settled work and finishes bit-identically.
+    The cache is also the crash-safe resume path: :meth:`TrialCache.put`
+    fsyncs each entry before the chunk counts as settled, so a run whose
+    *coordinator* died mid-sweep (SIGKILL, OOM, power loss) reruns
+    against the same cache without recomputing settled work and
+    finishes bit-identically.
 
     ``registry`` scopes the prepared-state registry the equation builder
     resolves against for in-process execution (serial chunks); pool and
@@ -576,20 +574,6 @@ def run_scenario_tasks(
                 results[index] = hit
     else:
         miss_indices = list(range(len(tasks)))
-
-    if journal is not None:
-        # Journaled tasks replay like cache hits: a settled chunk from
-        # a crashed run (resume) — or an earlier settle of this run —
-        # never executes twice.  The journal validates its sweep
-        # fingerprint here and fails loudly on a mismatch.
-        for index, errors in journal.open(
-            instance, tasks, config=config, options=options
-        ).items():
-            if results[index] is None:
-                results[index] = errors
-        miss_indices = [
-            index for index in miss_indices if results[index] is None
-        ]
 
     if miss_indices:
         miss_tasks = [tasks[index] for index in miss_indices]
@@ -627,10 +611,6 @@ def run_scenario_tasks(
                 results[index] = errors
                 if cache is not None and keys[index] is not None:
                     cache.put(keys[index], errors)
-            if journal is not None:
-                # Durable before "settled": the record hits disk
-                # (fsync) before the engine counts the chunk done.
-                journal.record(chunk_to_indices[chunk_index], errors_list)
 
         context = (instance, config, options)
         try:
@@ -652,11 +632,6 @@ def run_scenario_tasks(
                 + f": {exc}",
                 lost,
             ) from exc
-        finally:
-            if journal is not None:
-                journal.close()
-    elif journal is not None:
-        journal.close()
     return results
 
 

@@ -6,7 +6,7 @@ through the existing :class:`~repro.eval.parallel.TaskExecutor`
 backends via the dotted runner spec
 :data:`repro.predict.tasks.WHATIF_RUNNER` — the same runner the
 ``predict`` CLI command and the service ``/whatif`` endpoint execute —
-so the sweep parallelises (and caches, journals, distributes) exactly
+so the sweep parallelises (and caches, distributes) exactly
 like the batch figures.  The figure plots, per scale: how many links
 cross the risk threshold, and the maximum / mean combined risk.
 """
@@ -129,7 +129,6 @@ def risk_shift_sweep(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> RiskShiftResult:
     """The what-if figure: combined congestion risk vs shift magnitude.
@@ -137,8 +136,8 @@ def risk_shift_sweep(
     ``demand`` is a :class:`~repro.predict.demand.DemandMatrix` or its
     payload dict; its own named shifts are ignored — the sweep imposes
     one uniform ``scale-<x>`` shift per x-axis point.  Every
-    ``(scale, trial)`` pair is one task; backends, caching, and
-    journaling compose exactly as for the batch figures.
+    ``(scale, trial)`` pair is one task; backends and caching
+    compose exactly as for the batch figures.
     """
     if isinstance(demand, DemandMatrix):
         demand = demand.to_payload()
@@ -166,7 +165,6 @@ def risk_shift_sweep(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     points = []

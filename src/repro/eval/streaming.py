@@ -11,7 +11,7 @@ probe rate.
 Each ``(probe rate, trial)`` pair is one :class:`ScenarioTask` executed
 through the existing :class:`~repro.eval.parallel.TaskExecutor` backends
 via the dotted task-runner spec :data:`DETECTION_RUNNER`, so the sweep
-parallelises (and caches, journals, distributes) exactly like the batch
+parallelises (and caches, distributes) exactly like the batch
 figures.
 """
 
@@ -247,13 +247,12 @@ def detection_latency_sweep(
     workers: int | None = None,
     cache=None,
     executor=None,
-    journal=None,
     registry: PreparedRegistry | None = None,
 ) -> DetectionLatencyResult:
     """The streaming figure: detection latency vs probe rate.
 
-    Every ``(rate, trial)`` pair is one task; backends, caching, and
-    journaling compose exactly as for the batch figures.
+    Every ``(rate, trial)`` pair is one task; backends and caching
+    compose exactly as for the batch figures.
     """
     tasks = detection_latency_tasks(
         probe_rates,
@@ -274,7 +273,6 @@ def detection_latency_sweep(
         workers=workers,
         cache=cache,
         executor=executor,
-        journal=journal,
         registry=registry,
     )
     points = []

@@ -14,7 +14,7 @@ demand shift would do to it), ranking links by combined risk.
 Everything composes with the existing engine: what-if trials are
 ordinary :class:`~repro.eval.parallel.ScenarioTask` records executed via
 the dotted runner spec :data:`repro.predict.tasks.WHATIF_RUNNER`, so the
-sweep caches, journals, distributes, and serves exactly like the batch
+sweep caches, distributes, and serves exactly like the batch
 figures — the ``predict`` CLI command and the service ``/whatif``
 endpoint are bit-identical by construction.
 """

@@ -1,12 +1,20 @@
 """The persistent trial-result cache: keys, storage, engine integration."""
 
 import json
+import os
+import pathlib
+import signal
+import stat
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro.core.correlation_algorithm import AlgorithmOptions
+from repro.eval import cache as cache_module
 from repro.eval import parallel as engine
 from repro.eval.cache import (
     CODE_SALT,
@@ -179,6 +187,30 @@ class TestStore:
         # Overwriting the bad entry repairs the store.
         cache.put(key, {"correlation": np.arange(64.0)})
         assert cache.get(key) is not None
+
+    def test_put_fsyncs_entry_before_replace_and_directory_after(
+        self, tmp_path, monkeypatch
+    ):
+        """Settled means durable: the entry's bytes reach disk before
+        the rename publishes them, and the rename itself is flushed."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(descriptor):
+            mode = os.fstat(descriptor).st_mode
+            events.append("dir-fsync" if stat.S_ISDIR(mode) else "fsync")
+            real_fsync(descriptor)
+
+        def replace(source, destination):
+            events.append("replace")
+            real_replace(source, destination)
+
+        monkeypatch.setattr(cache_module.os, "fsync", fsync)
+        monkeypatch.setattr(cache_module.os, "replace", replace)
+        cache = TrialCache(tmp_path)
+        cache.put("ab" + "2" * 62, {"correlation": np.arange(4.0)})
+        assert events == ["fsync", "replace", "dir-fsync"]
+        assert cache.get("ab" + "2" * 62) is not None
 
     def test_concurrent_writers_never_tear(self, tmp_path):
         """Two writers hammering one key: readers always see a full entry."""
@@ -569,3 +601,57 @@ class TestWorkersEnv:
         monkeypatch.setenv("REPRO_WORKERS", "many")
         with pytest.raises(ValueError, match="REPRO_WORKERS"):
             engine.resolve_workers(None)
+
+
+class TestSigkillResume:
+    def test_sigkilled_coordinator_resumes_bit_identically(self, tmp_path):
+        """Crash-safe resume, end to end: SIGKILL the CLI once a trial
+        is settled in the cache, rerun it against the same
+        ``--cache-dir``, and the figure matches an uninterrupted
+        uncached run byte for byte."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(__file__).parents[2] / "src")
+        env.pop("REPRO_CACHE_DIR", None)
+        env.pop("REPRO_WORKERS", None)
+        argv = [sys.executable, "-m", "repro.cli", "figure3", "--trials", "2"]
+        store = tmp_path / "sweep.cache"
+
+        reference = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert reference.returncode == 0, reference.stderr
+
+        victim = subprocess.Popen(
+            argv + ["--cache-dir", str(store)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        # Kill as soon as one entry is settled.  If the run wins the
+        # race and finishes first, the rerun is pure replay — still a
+        # valid (if weaker) exercise of the path.
+        deadline = time.monotonic() + 240
+        while time.monotonic() < deadline and victim.poll() is None:
+            if any(store.rglob("*.npz")):
+                break
+            time.sleep(0.02)
+        killed = victim.poll() is None
+        if killed:
+            victim.send_signal(signal.SIGKILL)
+        victim.wait(timeout=60)
+
+        resumed = subprocess.run(
+            argv + ["--cache-dir", str(store), "--cache-stats"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        lines = resumed.stdout.splitlines(keepends=True)
+        stats = [line for line in lines if line.startswith("cache: ")]
+        figure = [line for line in lines if not line.startswith("cache: ")]
+        assert "".join(figure) == reference.stdout
+        assert len(stats) == 1
+        if killed:
+            assert not stats[0].startswith("cache: 0 hits")

@@ -39,6 +39,33 @@ class TestParser:
                 ["figure4", "--topology", "mesh"]
             )
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--trials", trials]
+            for command in ("figure3", "figure3-cdf", "figure4", "figure5")
+            for trials in ("0", "-2")
+        ]
+        + [
+            [command, "--fraction", fraction]
+            for command in ("figure4", "figure5")
+            for fraction in ("1.5", "-0.1")
+        ],
+    )
+    def test_bad_figure_sizes_are_argparse_errors(self, argv, capsys):
+        """Refused at parse time (exit 2), before any trial runs."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        flag = argv[1].lstrip("-")
+        assert f"{flag} must be" in capsys.readouterr().err
+
+    def test_unusable_cache_dir_is_clean_error(self, tmp_path):
+        regular_file = tmp_path / "not-a-directory"
+        regular_file.write_text("")
+        with pytest.raises(SystemExit, match="^error: --cache-dir "):
+            main(["figure3", "--cache-dir", str(regular_file)])
+
 
 class TestDistributedFlags:
     """Backend/hosts/launch precedence and the documented error paths."""

@@ -77,7 +77,6 @@ class TestParser:
         assert out.strip() == _version_string()
         assert "repro-tomography" in out
         assert "wire protocol v" in out
-        assert "journal format v" in out
 
 
 class TestStreamRun:

@@ -76,7 +76,7 @@ class TestDocSurface:
         operations = (REPO / "docs" / "OPERATIONS.md").read_text(
             encoding="utf-8"
         )
-        for anchor in ("worker", "serve", "--journal", "REPRO_CHAOS"):
+        for anchor in ("worker", "serve", "--cache-dir", "REPRO_CHAOS"):
             assert anchor in operations
 
     def test_architecture_doc_covers_the_predict_layer(self):
