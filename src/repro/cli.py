@@ -24,8 +24,7 @@ inference over the same concatenated snapshots — so
 
 is the streaming correctness check.
 
-Every subcommand prints the same rows/series the paper plots (see
-EXPERIMENTS.md for the recorded outputs).
+Every subcommand prints the same rows/series the paper plots.
 
 Figure commands support the persistent trial-result cache
 (:mod:`repro.eval.cache`):
@@ -77,7 +76,7 @@ worker that dies mid-sweep only costs the chunks it was computing (the
 coordinator requeues them on the survivors).
 
 Wire: coordinators and workers speak one protocol version — JSON-header
-frames carrying the schema'd binary codec (pickle-free in both
+frames carrying canonical-JSON codec documents (pickle-free in both
 directions) over the session socket.  A peer from a build with another
 protocol version is refused with a clean error.
 

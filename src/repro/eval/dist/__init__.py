@@ -7,8 +7,9 @@ algorithmic one:
 :func:`repro.eval.parallel.run_scenario_tasks` exactly like the serial
 and process-pool executors, and :class:`WorkerServer` turns any
 reachable Python process into a worker.  There is one wire: JSON-header
-frames carrying schema'd binary payloads (:mod:`repro.eval.dist.codec`)
-over the session socket, with no pickle in either direction.  See :mod:`repro.eval.dist.protocol` for the framing,
+frames carrying canonical-JSON payloads (:mod:`repro.eval.dist.codec`)
+over the session socket, with no pickle in either direction.  See
+:mod:`repro.eval.dist.protocol` for the framing,
 :mod:`repro.eval.dist.coordinator` for the fault-tolerant scheduler, and
 ``docs/ARCHITECTURE.md`` for the full design.
 """

@@ -1,4 +1,4 @@
-"""Schema'd binary codecs for sweep session payloads.
+"""Canonical-JSON codecs for sweep session payloads.
 
 The wire carries no pickle; every session payload has an explicit,
 versioned encoding:
@@ -9,17 +9,17 @@ versioned encoding:
   :func:`repro.io.instance_fingerprint` (so worker-side cache keys are
   equal to the coordinator's by construction, not by re-derivation),
   and the config/options dataclasses as plain field dicts;
-* **task chunks** (:func:`encode_tasks` / :func:`decode_tasks`):
-  fixed-width struct records per :class:`repro.eval.parallel.ScenarioTask`
-  with deduplicated side tables for factory names, factory kwargs and
-  seed entropy, and the PCG64 generator state packed as two 128-bit
-  integers plus the :class:`numpy.random.SeedSequence` coordinates
-  (:func:`repro.utils.rng.generator_spec`) — bit-exact for both draw
-  and spawn behaviour.  Decode returns seeds as lazy
-  :class:`repro.utils.rng.SeedSpec` values: every consumer coerces
-  through :func:`repro.utils.rng.as_generator`, so the ~15µs-per-seed
-  numpy reconstruction is deferred into the pool children at execution
-  time instead of serialising chunk decode;
+* **task chunks** (:func:`encode_tasks` / :func:`decode_tasks`): one
+  canonical-JSON document ``[CODEC_VERSION, [record, ...]]`` with one
+  ``[group, factory, kwargs, scenario_seed, run_seed]`` record per
+  :class:`repro.eval.parallel.ScenarioTask`.  A seed is ``null`` or
+  the eight :func:`repro.utils.rng.generator_spec` fields (PCG64 state
+  plus :class:`numpy.random.SeedSequence` coordinates) — bit-exact for
+  both draw and spawn behaviour.  Decode validates every field and
+  returns seeds as lazy :class:`repro.utils.rng.SeedSpec` values: every
+  consumer coerces through :func:`repro.utils.rng.as_generator`, so the
+  ~15µs-per-seed numpy reconstruction is deferred into the pool
+  children at execution time instead of serialising chunk decode;
 * **chunk results** use the engine's packed float64 transport
   (:func:`repro.eval.parallel._pack_error_dicts`); the descriptor rides
   in the JSON frame header.
@@ -30,7 +30,9 @@ exotic node id, a non-PCG64 seed.  The coordinator encodes a sweep's
 whole payload before contacting any worker, so such a sweep fails up
 front; it is never acceptable to coerce and ship, since a lossy wire
 could silently break the bit-identity guarantee between serial and
-remote execution.
+remote execution.  On decode it means a corrupt or version-skewed
+payload: a malformed document never reaches the engine, where it would
+fail later as a ``TypeError`` inside a pool child.
 
 The codec is versioned independently of the protocol handshake: every
 encoded payload leads with :data:`CODEC_VERSION`.
@@ -39,7 +41,6 @@ encoded payload leads with :data:`CODEC_VERSION`.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import asdict
 
 from repro.core.correlation_algorithm import AlgorithmOptions
@@ -129,10 +130,13 @@ def _to_wire_value(value, where: str):
 def _from_wire_value(value):
     """Inverse of :func:`_to_wire_value`."""
     if isinstance(value, dict):
-        if set(value) == {_TUPLE_TAG}:
-            return tuple(
-                _from_wire_value(item) for item in value[_TUPLE_TAG]
-            )
+        if _TUPLE_TAG in value:
+            items = value[_TUPLE_TAG]
+            if len(value) != 1 or type(items) is not list:
+                # _to_wire_value never emits this, and decoding it would
+                # yield a value that does not re-encode to itself.
+                raise CodecError(f"malformed {_TUPLE_TAG!r} tag {value!r}")
+            return tuple(_from_wire_value(item) for item in items)
         return {key: _from_wire_value(item) for key, item in value.items()}
     if isinstance(value, list):
         return [_from_wire_value(item) for item in value]
@@ -141,6 +145,14 @@ def _from_wire_value(value):
 
 def _encode_json(value) -> bytes:
     return json.dumps(value, separators=(",", ":")).encode("utf-8")
+
+
+_JSON_DECODER = json.JSONDecoder()
+
+
+def _is_int(value) -> bool:
+    # ``bool`` subclasses ``int`` but is never a valid wire integer.
+    return type(value) is int
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +220,11 @@ def decode_context(data) -> tuple[tuple, str]:
     """
     try:
         doc = json.loads(bytes(data).decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CodecError(f"malformed v4 context payload: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("codec") != CODEC_VERSION:
+    if not isinstance(doc, dict) or not (
+        _is_int(doc.get("codec")) and doc["codec"] == CODEC_VERSION
+    ):
         raise CodecError(
             f"unsupported v4 context codec "
             f"{doc.get('codec') if isinstance(doc, dict) else doc!r}"
@@ -240,299 +254,161 @@ def decode_context(data) -> tuple[tuple, str]:
 # ----------------------------------------------------------------------
 # Task chunks
 # ----------------------------------------------------------------------
-_CHUNK_HEAD = struct.Struct("!BIHII")  # codec | n_tasks | n_fac | n_kw | n_ent
-_TASK_HEAD = struct.Struct("!qHI")  # group | factory idx | kwargs idx
-_SEED_STATE = struct.Struct("!16s16sBQ")  # state | inc | has_uint32 | uinteger
-_SEED_SEQ = struct.Struct("!IBQB")  # entropy idx | pool | n_spawned | key len
-_U16 = struct.Struct("!H")
-_U32 = struct.Struct("!I")
-
-_SEED_NONE = 0
-_SEED_PCG64 = 1
-
-
-class _Table:
-    """Deduplicating byte-string side table (insertion-ordered)."""
-
-    def __init__(self) -> None:
-        self.index: dict[bytes, int] = {}
-        self.entries: list[bytes] = []
-
-    def add(self, entry: bytes) -> int:
-        slot = self.index.get(entry)
-        if slot is None:
-            slot = len(self.entries)
-            self.index[entry] = slot
-            self.entries.append(entry)
-        return slot
+#: ``(field, low, high)`` for each wire seed field, in :class:`SeedSpec`
+#: order: the field must be an int in ``[low, high)`` (``high`` of None
+#: is unbounded).  ``entropy`` may also be null, and ``spawn_key`` is a
+#: list whose every word obeys the bounds.  numpy rejects values outside
+#: them only when the seed materialises, inside a pool child; the
+#: decoder rejects them up front instead.
+_SEED_BOUNDS = (
+    ("state", 0, 1 << 128),
+    ("inc", 0, 1 << 128),
+    ("has_uint32", 0, 2),
+    ("uinteger", 0, 1 << 32),
+    ("entropy", 0, None),
+    ("spawn_key", 0, 1 << 64),
+    ("pool_size", 4, 1 << 8),
+    ("n_children_spawned", 0, 1 << 32),
+)
 
 
-class _ValueTable:
-    """Side table deduplicated on the (hashable) value itself.
-
-    Entries are JSON-serialized once, at assembly time, instead of once
-    per occurrence — the sweep's seed entropies are a handful of ints
-    repeated across thousands of task records, so encoding before
-    deduplicating dominated the original encoder's profile.
-    """
-
-    def __init__(self) -> None:
-        self.index: dict = {}
-        self.values: list = []
-
-    def add(self, value) -> int:
-        slot = self.index.get(value)
-        if slot is None:
-            slot = len(self.values)
-            self.index[value] = slot
-            self.values.append(value)
-        return slot
-
-    def serialized(self) -> list[bytes]:
-        return [_encode_json(value) for value in self.values]
+def _in_bounds(value, low: int, high) -> bool:
+    return _is_int(value) and low <= value and (high is None or value < high)
 
 
-def _encode_seed(parts: list, seed, entropy_table: _ValueTable) -> None:
+def _seed_to_wire(seed):
+    """``None``, or the eight :func:`generator_spec` fields as a list."""
     if seed is None:
-        parts.append(b"\x00")
-        return
+        return None
     if isinstance(seed, SeedSpec):
         # Re-encoding a decoded task: the lazy seed already carries the
         # exact wire fields, no generator to describe.
-        state, inc = seed.state, seed.inc
-        has_uint32, uinteger = seed.has_uint32, seed.uinteger
-        entropy_idx = entropy_table.add(seed.entropy)
-        spawn_key = seed.spawn_key
-        pool_size = seed.pool_size
-        n_spawned = seed.n_children_spawned
-    else:
-        try:
-            spec = generator_spec(seed)
-        except ValueError as exc:
-            raise CodecError(
-                f"task seed not v4-encodable: {exc}"
-            ) from exc
-        state, inc = spec["state"], spec["inc"]
-        has_uint32, uinteger = spec["has_uint32"], spec["uinteger"]
-        entropy_idx = entropy_table.add(spec["entropy"])
-        spawn_key = spec["spawn_key"]
-        pool_size = spec["pool_size"]
-        n_spawned = spec["n_children_spawned"]
+        fields = [getattr(seed, name) for name in SeedSpec.__slots__]
+        fields[5] = list(fields[5])
+        _seed_from_wire(fields)
+        return fields
     try:
-        parts.append(bytes([_SEED_PCG64]))
-        parts.append(
-            _SEED_STATE.pack(
-                state.to_bytes(16, "big"),
-                inc.to_bytes(16, "big"),
-                has_uint32,
-                uinteger,
-            )
-        )
-        parts.append(
-            _SEED_SEQ.pack(
-                entropy_idx,
-                pool_size,
-                n_spawned,
-                len(spawn_key),
-            )
-        )
-        if spawn_key:
-            parts.append(
-                struct.pack(f"!{len(spawn_key)}Q", *spawn_key)
-            )
-    except (struct.error, OverflowError) as exc:
+        spec = generator_spec(seed)
+    except ValueError as exc:
+        raise CodecError(f"task seed not v4-encodable: {exc}") from exc
+    return [spec[name] for name in SeedSpec.__slots__]
+
+
+def _seed_from_wire(fields):
+    """Validate a wire seed and wrap it as a lazy :class:`SeedSpec`.
+
+    Decode returns :class:`SeedSpec` rather than an eager generator:
+    numpy reconstruction (~15µs per seed) would dominate chunk decode,
+    and every consumer coerces seeds through :func:`as_generator`, so
+    materialisation defers to the pool children at execution time.
+    """
+    if fields is None:
+        return None
+    if type(fields) is not list or len(fields) != len(_SEED_BOUNDS):
         raise CodecError(
-            f"task seed coordinates overflow the v4 record: {exc}"
-        ) from exc
+            f"v4 seed must be null or a list of {len(_SEED_BOUNDS)} "
+            f"fields, got {fields!r}"
+        )
+    for (name, low, high), value in zip(_SEED_BOUNDS, fields):
+        if name == "spawn_key":
+            valid = type(value) is list and all(
+                _in_bounds(word, low, high) for word in value
+            )
+        else:
+            valid = (name == "entropy" and value is None) or _in_bounds(
+                value, low, high
+            )
+        if not valid:
+            raise CodecError(
+                f"v4 seed field {name}={value!r} is not an int in "
+                f"[{low}, {high})"
+            )
+    state, inc, has_uint32, uinteger, entropy, spawn_key, *rest = fields
+    # JSON returns the key as a list; SeedSequence keeps it a tuple.
+    return SeedSpec(
+        state, inc, has_uint32, uinteger, entropy, tuple(spawn_key), *rest
+    )
 
 
 def encode_tasks(tasks) -> bytes:
-    """Encode one chunk's :class:`ScenarioTask` list as binary records.
+    """Encode one chunk's :class:`ScenarioTask` list as canonical JSON.
 
-    Factory names, kwargs documents and seed entropies are deduplicated
-    into side tables (tasks of one sweep share them almost entirely);
-    each task is then a fixed-width record of table indices plus its
-    two packed generator states.  Raises :class:`CodecError` whenever a
+    The document is ``[CODEC_VERSION, [record, ...]]`` with one
+    ``[group, factory, kwargs, scenario_seed, run_seed]`` record per
+    task; a seed is ``null`` or its :func:`generator_spec` fields in
+    :class:`SeedSpec` order.  Raises :class:`CodecError` whenever a
     field would not round-trip exactly.
     """
-    factories = _Table()
-    kwargs_table = _Table()
-    entropy_table = _ValueTable()
-    # Identity-keyed kwargs dedup: tasks of one sweep point share their
-    # kwargs *value objects* (scenario_tasks copies the dict shallowly),
-    # so a hit here skips re-encoding without any equality subtlety —
-    # identical objects serialize identically by construction.  The
-    # task list keeps every value alive for the duration of the encode,
-    # so ids cannot be recycled under the cache.  Anything that defeats
-    # the identity key (non-string keys, unsortable mixes) just takes
-    # the encode-then-dedup path below.
-    ident_index: dict = {}
-    records: list[bytes] = []
+    records = []
     for task in tasks:
         if not isinstance(task, ScenarioTask):
             raise CodecError(
                 f"v4 chunks carry ScenarioTask records, got "
                 f"{type(task).__name__}"
             )
-        factory_idx = factories.add(task.factory.encode("utf-8"))
-        kwargs = task.factory_kwargs
-        try:
-            ident_key = tuple(
-                sorted((key, id(value)) for key, value in kwargs.items())
-            )
-        except TypeError:
-            ident_key = None
-        kwargs_idx = (
-            ident_index.get(ident_key) if ident_key is not None else None
-        )
-        if kwargs_idx is None:
-            kwargs_idx = kwargs_table.add(
-                _encode_json(
-                    _to_wire_value(
-                        kwargs,
-                        f"factory_kwargs of {task.factory!r}",
-                    )
-                )
-            )
-            if ident_key is not None:
-                ident_index[ident_key] = kwargs_idx
-        try:
-            records.append(
-                _TASK_HEAD.pack(task.group, factory_idx, kwargs_idx)
-            )
-        except struct.error as exc:
+        if not _is_int(task.group):
             raise CodecError(
-                f"task record overflows the v4 layout: {exc}"
-            ) from exc
-        _encode_seed(records, task.scenario_seed, entropy_table)
-        _encode_seed(records, task.run_seed, entropy_table)
-    parts = [
-        _CHUNK_HEAD.pack(
-            CODEC_VERSION,
-            len(tasks),
-            len(factories.entries),
-            len(kwargs_table.entries),
-            len(entropy_table.values),
+                f"task group must be an int, got {type(task.group).__name__}"
+            )
+        if not isinstance(task.factory, str) or not isinstance(
+            task.factory_kwargs, dict
+        ):
+            raise CodecError(
+                "task factory must be a str and its kwargs a dict"
+            )
+        records.append(
+            [
+                task.group,
+                task.factory,
+                _to_wire_value(
+                    task.factory_kwargs, f"factory_kwargs of {task.factory!r}"
+                ),
+                _seed_to_wire(task.scenario_seed),
+                _seed_to_wire(task.run_seed),
+            ]
         )
-    ]
-    for entry in factories.entries:
-        parts.append(_U16.pack(len(entry)))
-        parts.append(entry)
-    for entries in (kwargs_table.entries, entropy_table.serialized()):
-        for entry in entries:
-            parts.append(_U32.pack(len(entry)))
-            parts.append(entry)
-    parts.extend(records)
-    return b"".join(parts)
+    return _encode_json([CODEC_VERSION, records])
 
 
-def _decode_seed(buffer, offset: int, entropies: list):
-    kind = buffer[offset]
-    offset += 1
-    if kind == _SEED_NONE:
-        return None, offset
-    if kind != _SEED_PCG64:
-        raise CodecError(f"unknown v4 seed kind {kind}")
-    state, inc, has_uint32, uinteger = _SEED_STATE.unpack_from(
-        buffer, offset
+def _task_from_wire(record) -> ScenarioTask:
+    if type(record) is not list or len(record) != 5:
+        raise CodecError(f"v4 task record must be a 5-list, got {record!r}")
+    group, factory, kwargs, scenario_seed, run_seed = record
+    if not _is_int(group):
+        raise CodecError(f"v4 task group must be an int, got {group!r}")
+    if type(factory) is not str:
+        raise CodecError(f"v4 task factory must be a str, got {factory!r}")
+    # Each record carries its own kwargs object, so every decoded task
+    # gets a private dict, as scenario_tasks() builds them.
+    kwargs = _from_wire_value(kwargs)
+    if type(kwargs) is not dict:
+        raise CodecError(f"v4 task kwargs must be an object, got {kwargs!r}")
+    return ScenarioTask(
+        group=group,
+        factory=factory,
+        factory_kwargs=kwargs,
+        scenario_seed=_seed_from_wire(scenario_seed),
+        run_seed=_seed_from_wire(run_seed),
     )
-    offset += _SEED_STATE.size
-    entropy_idx, pool_size, n_spawned, key_len = _SEED_SEQ.unpack_from(
-        buffer, offset
-    )
-    offset += _SEED_SEQ.size
-    spawn_key = struct.unpack_from(f"!{key_len}Q", buffer, offset)
-    offset += 8 * key_len
-    if entropy_idx >= len(entropies):
-        raise CodecError(
-            f"v4 seed references entropy entry {entropy_idx} of "
-            f"{len(entropies)}"
-        )
-    # Decode to a lazy SeedSpec rather than an eager Generator: numpy
-    # reconstruction (~15µs per seed) dominates chunk decode, and every
-    # consumer coerces seeds through as_generator(), so materialisation
-    # defers to the pool children at execution time where it parallelises.
-    spec = SeedSpec(
-        int.from_bytes(state, "big"),
-        int.from_bytes(inc, "big"),
-        has_uint32,
-        uinteger,
-        entropies[entropy_idx],
-        spawn_key,
-        pool_size,
-        n_spawned,
-    )
-    return spec, offset
 
 
 def decode_tasks(data) -> list[ScenarioTask]:
     """Decode :func:`encode_tasks` output back into task records."""
-    buffer = memoryview(data)
     try:
-        codec, n_tasks, n_factories, n_kwargs, n_entropy = (
-            _CHUNK_HEAD.unpack_from(buffer, 0)
-        )
-        if codec != CODEC_VERSION:
-            raise CodecError(f"unsupported v4 chunk codec {codec}")
-        offset = _CHUNK_HEAD.size
-        factories: list[str] = []
-        for _ in range(n_factories):
-            (length,) = _U16.unpack_from(buffer, offset)
-            offset += _U16.size
-            factories.append(
-                bytes(buffer[offset : offset + length]).decode("utf-8")
-            )
-            offset += length
-        kwargs_docs: list[dict] = []
-        for _ in range(n_kwargs):
-            (length,) = _U32.unpack_from(buffer, offset)
-            offset += _U32.size
-            kwargs_docs.append(
-                _from_wire_value(
-                    json.loads(bytes(buffer[offset : offset + length]))
-                )
-            )
-            offset += length
-        entropies: list = []
-        for _ in range(n_entropy):
-            (length,) = _U32.unpack_from(buffer, offset)
-            offset += _U32.size
-            entropies.append(
-                json.loads(bytes(buffer[offset : offset + length]))
-            )
-            offset += length
-        tasks: list[ScenarioTask] = []
-        for _ in range(n_tasks):
-            group, factory_idx, kwargs_idx = _TASK_HEAD.unpack_from(
-                buffer, offset
-            )
-            offset += _TASK_HEAD.size
-            scenario_seed, offset = _decode_seed(buffer, offset, entropies)
-            run_seed, offset = _decode_seed(buffer, offset, entropies)
-            if factory_idx >= len(factories) or kwargs_idx >= len(
-                kwargs_docs
-            ):
-                raise CodecError(
-                    "v4 task record references a missing table entry"
-                )
-            tasks.append(
-                ScenarioTask(
-                    group=group,
-                    factory=factories[factory_idx],
-                    # Each task gets a private kwargs dict, matching
-                    # scenario_tasks(); a shared dict would let one
-                    # task's consumer mutate another's.
-                    factory_kwargs=dict(kwargs_docs[kwargs_idx]),
-                    scenario_seed=scenario_seed,
-                    run_seed=run_seed,
-                )
-            )
-    except CodecError:
-        raise
-    except Exception as exc:
+        text = bytes(data).decode("utf-8")
+        doc, end = _JSON_DECODER.raw_decode(text)
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
         raise CodecError(f"malformed v4 chunk payload: {exc!r}") from exc
-    if offset != len(buffer):
+    if end != len(text):
         raise CodecError(
-            f"v4 chunk payload has {len(buffer) - offset} trailing bytes"
+            f"v4 chunk payload has {len(text) - end} trailing characters"
         )
-    return tasks
+    if type(doc) is not list or len(doc) != 2 or type(doc[1]) is not list:
+        raise CodecError("malformed v4 chunk payload: not [codec, tasks]")
+    if not _is_int(doc[0]) or doc[0] != CODEC_VERSION:
+        raise CodecError(f"unsupported v4 chunk codec {doc[0]!r}")
+    try:
+        return [_task_from_wire(record) for record in doc[1]]
+    except RecursionError as exc:
+        # kwargs nested just under the JSON parser's own depth limit.
+        raise CodecError(f"malformed v4 chunk payload: {exc!r}") from exc

@@ -11,7 +11,7 @@ request/response session:
 * the (instance, config, options) triple is shipped **once** per worker
   session, never per chunk, as the canonical-JSON payload of the
   ``init`` frame (:mod:`repro.eval.dist.codec`); chunks travel as
-  schema'd struct records, so a session is pickle-free in both
+  canonical-JSON task records, so a session is pickle-free in both
   directions; the session socket is the only data plane;
 * the worker's ``ready`` frame confirms the protocol version and
   advertises a *capacity* (parallel chunk slots, CPU count by default);

@@ -7,7 +7,7 @@ Every session message is one frame::
 
 The header is a JSON object with at least a ``"type"`` key; the payload
 is an opaque byte string whose meaning the header declares — a
-schema'd codec record (:mod:`repro.eval.dist.codec`) for the sweep
+canonical-JSON codec document (:mod:`repro.eval.dist.codec`) for the sweep
 context and chunk task lists, and the engine's packed float64 transport
 (:func:`repro.eval.parallel._pack_error_dicts`) for chunk results: the
 result descriptor rides in the header and the concatenated error

@@ -171,7 +171,7 @@ def _run_chunk_tasks(
 
 
 def _pool_run_chunk(payload: bytes):
-    # The payload is struct-codec task records, decoded in the child so
+    # The payload is a canonical-JSON task chunk, decoded in the child so
     # the session thread stays a pure frame pump.
     tasks = decode_tasks(payload)
     instance, config, options, cache, fingerprint, throttle = _POOL_STATE

@@ -19,7 +19,6 @@ __all__ = [
     "clone_generator",
     "SeedSpec",
     "generator_spec",
-    "generator_from_spec",
     "generator_from_parts",
 ]
 
@@ -165,14 +164,15 @@ def generator_spec(gen: np.random.Generator) -> dict:
     bit-generator *state* (draw behaviour) and the attached
     :class:`numpy.random.SeedSequence` (spawn behaviour) — as plain
     Python ints and tuples, so the distributed wire codec can ship a
-    generator without pickling it and reconstruct a bit-exact twin with
-    :func:`generator_from_spec`.
+    generator without pickling it and reconstruct a bit-exact twin as
+    ``SeedSpec(**generator_spec(gen)).materialize()``.
 
     Raises :class:`ValueError` for anything but a ``PCG64``-backed
     generator with an integer-entropy seed sequence: the engine only
     ever produces those (``default_rng`` / ``SeedSequence.spawn``), and
     a lossy description would silently break bit-identity, so exotic
-    generators must fail loudly (callers fall back to the pickled wire).
+    generators must fail loudly (the wire codec turns this into a
+    :class:`~repro.eval.dist.CodecError` before any worker is contacted).
     """
     if not isinstance(gen, np.random.Generator):
         raise ValueError(
@@ -223,12 +223,10 @@ def generator_from_parts(
 ) -> np.random.Generator:
     """Rebuild a generator from :func:`generator_spec`'s fields.
 
-    The positional twin of :func:`generator_from_spec`, for hot decode
-    loops (the distributed wire codec rebuilds two generators per task
-    record): same reconstruction, no intermediate spec dict.  The seed
-    sequence is reconstructed first (entropy, spawn key, pool size,
-    children counter) so future :func:`spawn_children` calls on the
-    rebuilt generator diverge identically to the original; the
+    :meth:`SeedSpec.materialize` calls this with its captured fields.
+    The seed sequence is reconstructed first (entropy, spawn key, pool
+    size, children counter) so future :func:`spawn_children` calls on
+    the rebuilt generator diverge identically to the original; the
     bit-generator state is then overwritten so draws continue from the
     exact captured position.
     """
@@ -246,17 +244,3 @@ def generator_from_parts(
         "uinteger": uinteger,
     }
     return np.random.Generator(bit_generator)
-
-
-def generator_from_spec(spec: dict) -> np.random.Generator:
-    """Rebuild the generator :func:`generator_spec` described."""
-    return generator_from_parts(
-        spec["state"],
-        spec["inc"],
-        spec["has_uint32"],
-        spec["uinteger"],
-        spec["entropy"],
-        tuple(spec["spawn_key"]),
-        spec["pool_size"],
-        spec["n_children_spawned"],
-    )

@@ -1,10 +1,13 @@
 """Protocol v4 wire codec: JSON frames, context/task codecs, rng specs."""
 
 import contextlib
+import json
 import socket
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.correlation_algorithm import AlgorithmOptions
 from repro.eval.dist import (
@@ -25,7 +28,6 @@ from repro.simulate.experiment import ExperimentConfig
 from repro.utils.rng import (
     SeedSpec,
     as_generator,
-    generator_from_spec,
     generator_spec,
     spawn_children,
 )
@@ -298,15 +300,11 @@ class TestTaskCodec:
             [ScenarioTask(group=0, factory="clustered")]
         )
         with pytest.raises(CodecError, match="trailing"):
-            decode_tasks(blob + b"\x00")
+            decode_tasks(blob + b"[]")
 
     def test_wrong_codec_version_rejected(self):
-        blob = bytearray(
-            encode_tasks([ScenarioTask(group=0, factory="clustered")])
-        )
-        blob[0] = 99
         with pytest.raises(CodecError, match="codec"):
-            decode_tasks(bytes(blob))
+            decode_tasks(b"[2,[]]")
 
     def test_truncated_payload_rejected(self):
         tasks = scenario_tasks(
@@ -324,18 +322,18 @@ class TestGeneratorSpec:
     def test_spec_round_trip_draws_and_spawns(self):
         original = as_generator(123)
         original.random(5)
-        twin = generator_from_spec(generator_spec(original))
+        twin = SeedSpec(**generator_spec(original)).materialize()
         _assert_seed_twin(original, twin)
 
     def test_spawned_child_round_trips(self):
         (child,) = spawn_children(11, 1)
-        twin = generator_from_spec(generator_spec(child))
+        twin = SeedSpec(**generator_spec(child)).materialize()
         _assert_seed_twin(child, twin)
 
     def test_spawn_counter_is_preserved(self):
         gen = as_generator(3)
         spawn_children(gen, 2)  # advance the children counter
-        twin = generator_from_spec(generator_spec(gen))
+        twin = SeedSpec(**generator_spec(gen)).materialize()
         _assert_seed_twin(gen, twin)
 
     def test_non_generator_rejected(self):
@@ -345,3 +343,175 @@ class TestGeneratorSpec:
     def test_non_pcg64_rejected(self):
         with pytest.raises(ValueError, match="PCG64"):
             generator_spec(np.random.Generator(np.random.MT19937(1)))
+
+
+# ----------------------------------------------------------------------
+# Decoder fuzzing: malformed input fails as CodecError, nothing else
+# ----------------------------------------------------------------------
+def _chunk_blob():
+    tasks = scenario_tasks(
+        "clustered", {"congested_fraction": 0.1}, n_trials=2, seed=21
+    )
+    tasks.append(
+        ScenarioTask(group=1, factory="clustered", factory_kwargs={"p": (1,)})
+    )
+    return encode_tasks(tasks)
+
+
+def _context_blob():
+    from repro.topogen.toy import fig_1a
+
+    return encode_context((fig_1a(), ExperimentConfig(), AlgorithmOptions()))
+
+
+CHUNK = _chunk_blob()
+CONTEXT = _context_blob()
+FUZZ = settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def _check_chunk(blob):
+    """Decode raises CodecError, or its tasks re-encode identically.
+
+    Decoded seeds must also materialise: a bad field that decode lets
+    through would otherwise fail later, inside a worker's pool child.
+    """
+    try:
+        tasks = decode_tasks(blob)
+    except CodecError:
+        return
+    for task in tasks:
+        as_generator(task.scenario_seed)
+        as_generator(task.run_seed)
+    again = encode_tasks(tasks)
+    assert encode_tasks(decode_tasks(again)) == again
+
+
+def _check_context(blob):
+    try:
+        decode_context(blob)
+    except CodecError:
+        pass
+
+
+def _flip(blob, data):
+    index = data.draw(st.integers(0, len(blob) - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != blob[index]))
+    return blob[:index] + bytes([byte]) + blob[index + 1 :]
+
+
+_MISSING = object()
+
+
+def _corrupt(path, value):
+    """The chunk document with the field at ``path`` set to ``value``."""
+    doc = json.loads(CHUNK)
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _MISSING:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc).encode("utf-8")
+
+
+#: Index paths into the chunk document ``[codec, [task, ...]]``; a task
+#: is ``[group, factory, kwargs, scenario_seed, run_seed]`` and a seed
+#: lists the SeedSpec fields in order.
+_SEED = (1, 0, 3)
+_FIELD = {name: index for index, name in enumerate(SeedSpec.__slots__)}
+
+
+class TestDecoderFuzz:
+    @FUZZ
+    @given(st.binary(max_size=512))
+    def test_arbitrary_bytes(self, blob):
+        _check_chunk(blob)
+        _check_context(blob)
+
+    @FUZZ
+    @given(st.data())
+    def test_valid_chunk_with_one_byte_changed(self, data):
+        _check_chunk(_flip(CHUNK, data))
+
+    @FUZZ
+    @given(st.data())
+    def test_valid_context_with_one_byte_changed(self, data):
+        _check_context(_flip(CONTEXT, data))
+
+    @FUZZ
+    @given(
+        st.data(),
+        st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats()
+            | st.text(max_size=8),
+            lambda inner: st.lists(inner, max_size=4)
+            | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+            max_leaves=8,
+        ),
+    )
+    def test_any_json_value_in_any_field(self, data, value):
+        task = data.draw(st.integers(0, 2))
+        field = data.draw(st.integers(0, 4))
+        path = (1, task, field)
+        if field >= 3 and task < 2:  # task 2 has no seeds
+            path += (data.draw(st.integers(0, len(SeedSpec.__slots__) - 1)),)
+        _check_chunk(_corrupt(path, value))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ((*_SEED, _FIELD["state"]), "12345"),
+            ((*_SEED, _FIELD["inc"]), 1.0),
+            ((*_SEED, _FIELD["has_uint32"]), True),
+            ((*_SEED, _FIELD["uinteger"]), 1 << 32),
+            ((*_SEED, _FIELD["entropy"]), [1, 2]),
+            ((*_SEED, _FIELD["entropy"]), -1),
+            ((*_SEED, _FIELD["spawn_key"]), 3),
+            ((*_SEED, _FIELD["spawn_key"]), [True]),
+            ((*_SEED, _FIELD["pool_size"]), 3),
+            ((*_SEED, _FIELD["n_children_spawned"]), -1),
+            ((*_SEED, _FIELD["n_children_spawned"]), _MISSING),
+            ((1, 0, 3), {"state": 1}),
+            ((1, 0, 0), True),
+            ((1, 0, 0), "0"),
+            ((1, 0, 1), 7),
+            ((1, 0, 2), [1, 2]),
+            ((1, 0, 2), {"__tuple__": [1]}),
+            ((1, 2, 2, "p"), {"__tuple__": 5}),
+            ((1, 2, 2, "p"), {"__tuple__": [1], "x": 2}),
+            ((1, 0), [0, "clustered", {}, None]),
+            ((1,), {}),
+            ((0,), True),
+        ],
+    )
+    def test_wrong_field_type_rejected(self, path, value):
+        with pytest.raises(CodecError):
+            decode_tasks(_corrupt(path, value))
+
+    @pytest.mark.parametrize("depth", [600, 5000])
+    def test_deep_nesting_rejected(self, depth):
+        nested = "[" * depth + "]" * depth
+        with pytest.raises(CodecError):
+            decode_tasks(
+                f'[1,[[0,"clustered",{{"a":{nested}}},null,null]]]'.encode()
+            )
+        with pytest.raises(CodecError):
+            decode_context(
+                f'{{"codec":1,"fingerprint":"f","instance":{nested}}}'.encode()
+            )
+
+    def test_type_corrupted_seed_fails_at_decode_not_materialisation(self):
+        # A string state would decode to a SeedSpec that only fails in
+        # as_generator, inside a worker's pool child; it must fail here.
+        blob = _corrupt((*_SEED, _FIELD["state"]), "12345")
+        with pytest.raises(CodecError, match="state"):
+            decode_tasks(blob)
+        # The uncorrupted document decodes to seeds that materialise.
+        for task in decode_tasks(CHUNK)[:2]:
+            as_generator(task.scenario_seed).random()
