@@ -24,15 +24,15 @@ Bit-identity is always enforced: after the last window, the streaming
 engine's full-history answer must equal the batch answer byte for byte.
 
 The gate is on the incremental leg's own per-window p50, against the
-profile's ``max_p50_ms``: the slowest p50 any run recorded in
-``BENCH_stream.json`` reached at that profile (quick: 4.23 and 4.72 ms;
-full: 7.51 ms), so every recorded run passes and nothing slower does.
-The recompute leg is reported and recorded, not gated: batch inference
-reads the same cached equation template, so the shared solve dominates
-both legs and their ratio no longer says whether the update stayed
-incremental.  ``--quick`` is the CI smoke mode (shorter windows).
-Every run appends a record to ``BENCH_stream.json`` (see
-``benchmarks/bench_util.py``).
+profile's ``max_p50_ms``: the slowest p50 among the runs recorded in
+``BENCH_stream.json`` at that profile when the gate was set (quick: 4.23
+and 4.72 ms; full: 7.51 ms), so every one of those runs passes and
+nothing slower does.  The recompute leg is reported and recorded, not
+gated: batch inference reads the same cached equation template, so the
+shared solve dominates both legs and their ratio no longer says whether
+the update stayed incremental.  ``--quick`` is the CI smoke mode
+(shorter windows).  Every run appends a record to ``BENCH_stream.json``
+(see ``benchmarks/bench_util.py``).
 """
 
 from __future__ import annotations
