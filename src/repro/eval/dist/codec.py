@@ -25,14 +25,15 @@ versioned encoding:
   in the JSON frame header.
 
 Error contract: :class:`CodecError` means "this payload cannot be
-carried losslessly by the codec" — a non-JSON-native factory kwarg, an
-exotic node id, a non-PCG64 seed.  The coordinator encodes a sweep's
-whole payload before contacting any worker, so such a sweep fails up
-front; it is never acceptable to coerce and ship, since a lossy wire
-could silently break the bit-identity guarantee between serial and
-remote execution.  On decode it means a corrupt or version-skewed
-payload: a malformed document never reaches the engine, where it would
-fail later as a ``TypeError`` inside a pool child.
+carried losslessly by the codec" — a non-JSON-native or over-deep
+factory kwarg, an exotic node id, a non-PCG64 or out-of-range seed.
+Encode applies the decoder's checks, and the coordinator encodes a
+sweep's whole payload before contacting any worker, so such a sweep
+fails up front; it is never acceptable to coerce and ship, since a
+lossy wire could silently break the bit-identity guarantee between
+serial and remote execution.  On decode it means a corrupt or
+version-skewed payload: a malformed document never reaches the engine,
+where it would fail later as a ``TypeError`` inside a pool child.
 
 The codec is versioned independently of the protocol handshake: every
 encoded payload leads with :data:`CODEC_VERSION`.
@@ -83,28 +84,39 @@ class CodecError(ProtocolError):
 #: rejected rather than mis-decoded.
 _TUPLE_TAG = "__tuple__"
 
+#: Deepest container nesting (lists, tuples, dicts) a task's kwargs may
+#: have, the kwargs object itself being the first level.  Scenario
+#: kwargs are a few levels deep; the bound makes an over-deep value a
+#: :class:`CodecError` at the same depth on encode and decode and on
+#: every interpreter, instead of wherever its recursion limit and frame
+#: layout happen to run out.
+_MAX_DEPTH = 32
 
-def _to_wire_value(value, where: str):
+
+def _to_wire_value(value, where: str, depth: int = 0):
     """Convert ``value`` to a JSON document that decodes back *exactly*.
 
     JSON-native scalars pass through; tuples become tagged objects
     (:data:`_TUPLE_TAG`) so :func:`_from_wire_value` restores their
     type; anything else — sets, numpy values, arbitrary objects, or
     dicts with non-string keys, all of which JSON would drop or rewrite
-    — raises :class:`CodecError`.
+    — raises :class:`CodecError`, as does nesting past
+    :data:`_MAX_DEPTH`.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if depth == _MAX_DEPTH:
+        raise CodecError(f"{where} nests deeper than {_MAX_DEPTH} levels")
     if isinstance(value, tuple):
         return {
             _TUPLE_TAG: [
-                _to_wire_value(item, f"{where}[{index}]")
+                _to_wire_value(item, f"{where}[{index}]", depth + 1)
                 for index, item in enumerate(value)
             ]
         }
     if isinstance(value, list):
         return [
-            _to_wire_value(item, f"{where}[{index}]")
+            _to_wire_value(item, f"{where}[{index}]", depth + 1)
             for index, item in enumerate(value)
         ]
     if isinstance(value, dict):
@@ -119,7 +131,9 @@ def _to_wire_value(value, where: str):
                     f"{where} has a non-string key {key!r}; JSON would "
                     "rewrite it and break the exact round-trip"
                 )
-            converted[key] = _to_wire_value(item, f"{where}[{key!r}]")
+            converted[key] = _to_wire_value(
+                item, f"{where}[{key!r}]", depth + 1
+            )
         return converted
     raise CodecError(
         f"{where} contains a {type(value).__name__}, which does not "
@@ -127,20 +141,24 @@ def _to_wire_value(value, where: str):
     )
 
 
-def _from_wire_value(value):
-    """Inverse of :func:`_to_wire_value`."""
-    if isinstance(value, dict):
-        if _TUPLE_TAG in value:
-            items = value[_TUPLE_TAG]
-            if len(value) != 1 or type(items) is not list:
-                # _to_wire_value never emits this, and decoding it would
-                # yield a value that does not re-encode to itself.
-                raise CodecError(f"malformed {_TUPLE_TAG!r} tag {value!r}")
-            return tuple(_from_wire_value(item) for item in items)
-        return {key: _from_wire_value(item) for key, item in value.items()}
+def _from_wire_value(value, depth: int = 0):
+    """Inverse of :func:`_to_wire_value`, with the same depth bound."""
+    if not isinstance(value, (dict, list)):
+        return value
+    if depth == _MAX_DEPTH:
+        raise CodecError(f"wire value nests deeper than {_MAX_DEPTH} levels")
     if isinstance(value, list):
-        return [_from_wire_value(item) for item in value]
-    return value
+        return [_from_wire_value(item, depth + 1) for item in value]
+    if _TUPLE_TAG in value:
+        items = value[_TUPLE_TAG]
+        if len(value) != 1 or type(items) is not list:
+            # _to_wire_value never emits this, and decoding it would
+            # yield a value that does not re-encode to itself.
+            raise CodecError(f"malformed {_TUPLE_TAG!r} tag {value!r}")
+        return tuple(_from_wire_value(item, depth + 1) for item in items)
+    return {
+        key: _from_wire_value(item, depth + 1) for key, item in value.items()
+    }
 
 
 def _encode_json(value) -> bytes:
@@ -257,9 +275,9 @@ def decode_context(data) -> tuple[tuple, str]:
 #: ``(field, low, high)`` for each wire seed field, in :class:`SeedSpec`
 #: order: the field must be an int in ``[low, high)`` (``high`` of None
 #: is unbounded).  ``entropy`` may also be null, and ``spawn_key`` is a
-#: list whose every word obeys the bounds.  numpy rejects values outside
-#: them only when the seed materialises, inside a pool child; the
-#: decoder rejects them up front instead.
+#: sequence whose every word obeys the bounds.  numpy rejects values
+#: outside them only when the seed materialises, inside a pool child;
+#: the codec rejects them up front instead, on encode and decode.
 _SEED_BOUNDS = (
     ("state", 0, 1 << 128),
     ("inc", 0, 1 << 128),
@@ -276,6 +294,35 @@ def _in_bounds(value, low: int, high) -> bool:
     return _is_int(value) and low <= value and (high is None or value < high)
 
 
+def _check_seed(fields) -> None:
+    """Raise :class:`CodecError` unless ``fields`` is a valid wire seed.
+
+    Encode and decode run the same check, so a seed numpy would reject
+    at materialisation fails before any worker is contacted, and a
+    corrupt one fails at decode rather than inside a pool child.
+    """
+    if type(fields) is not list or len(fields) != len(_SEED_BOUNDS):
+        raise CodecError(
+            f"v4 seed must be null or a list of {len(_SEED_BOUNDS)} "
+            f"fields, got {fields!r}"
+        )
+    for (name, low, high), value in zip(_SEED_BOUNDS, fields):
+        if name == "spawn_key":
+            # A tuple on encode; JSON hands the decoder a list.
+            valid = isinstance(value, (list, tuple)) and all(
+                _in_bounds(word, low, high) for word in value
+            )
+        else:
+            valid = (name == "entropy" and value is None) or _in_bounds(
+                value, low, high
+            )
+        if not valid:
+            raise CodecError(
+                f"v4 seed field {name}={value!r} is not an int in "
+                f"[{low}, {high})"
+            )
+
+
 def _seed_to_wire(seed):
     """``None``, or the eight :func:`generator_spec` fields as a list."""
     if seed is None:
@@ -284,14 +331,14 @@ def _seed_to_wire(seed):
         # Re-encoding a decoded task: the lazy seed already carries the
         # exact wire fields, no generator to describe.
         fields = [getattr(seed, name) for name in SeedSpec.__slots__]
-        fields[5] = list(fields[5])
-        _seed_from_wire(fields)
-        return fields
-    try:
-        spec = generator_spec(seed)
-    except ValueError as exc:
-        raise CodecError(f"task seed not v4-encodable: {exc}") from exc
-    return [spec[name] for name in SeedSpec.__slots__]
+    else:
+        try:
+            spec = generator_spec(seed)
+        except ValueError as exc:
+            raise CodecError(f"task seed not v4-encodable: {exc}") from exc
+        fields = [spec[name] for name in SeedSpec.__slots__]
+    _check_seed(fields)
+    return fields
 
 
 def _seed_from_wire(fields):
@@ -304,25 +351,7 @@ def _seed_from_wire(fields):
     """
     if fields is None:
         return None
-    if type(fields) is not list or len(fields) != len(_SEED_BOUNDS):
-        raise CodecError(
-            f"v4 seed must be null or a list of {len(_SEED_BOUNDS)} "
-            f"fields, got {fields!r}"
-        )
-    for (name, low, high), value in zip(_SEED_BOUNDS, fields):
-        if name == "spawn_key":
-            valid = type(value) is list and all(
-                _in_bounds(word, low, high) for word in value
-            )
-        else:
-            valid = (name == "entropy" and value is None) or _in_bounds(
-                value, low, high
-            )
-        if not valid:
-            raise CodecError(
-                f"v4 seed field {name}={value!r} is not an int in "
-                f"[{low}, {high})"
-            )
+    _check_seed(fields)
     state, inc, has_uint32, uinteger, entropy, spawn_key, *rest = fields
     # JSON returns the key as a list; SeedSequence keeps it a tuple.
     return SeedSpec(
@@ -407,8 +436,4 @@ def decode_tasks(data) -> list[ScenarioTask]:
         raise CodecError("malformed v4 chunk payload: not [codec, tasks]")
     if not _is_int(doc[0]) or doc[0] != CODEC_VERSION:
         raise CodecError(f"unsupported v4 chunk codec {doc[0]!r}")
-    try:
-        return [_task_from_wire(record) for record in doc[1]]
-    except RecursionError as exc:
-        # kwargs nested just under the JSON parser's own depth limit.
-        raise CodecError(f"malformed v4 chunk payload: {exc!r}") from exc
+    return [_task_from_wire(record) for record in doc[1]]

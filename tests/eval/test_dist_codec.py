@@ -22,6 +22,7 @@ from repro.eval.dist import (
     recv_json_message,
     send_json_message,
 )
+from repro.eval.dist.codec import _MAX_DEPTH
 from repro.eval.parallel import ScenarioTask, scenario_tasks
 from repro.io import instance_fingerprint
 from repro.simulate.experiment import ExperimentConfig
@@ -31,6 +32,14 @@ from repro.utils.rng import (
     generator_spec,
     spawn_children,
 )
+
+
+def _nested(levels):
+    """A value ``levels`` containers deep, alternating list and tuple."""
+    value = []
+    for level in range(levels - 1):
+        value = (value,) if level % 2 else [value]
+    return value
 
 
 @contextlib.contextmanager
@@ -295,6 +304,55 @@ class TestTaskCodec:
         with pytest.raises(CodecError, match="seed"):
             encode_tasks([task])
 
+    @pytest.mark.parametrize(
+        "seed_seq",
+        [
+            np.random.SeedSequence(5, pool_size=256),
+            np.random.SeedSequence(5, spawn_key=(1 << 64,)),
+        ],
+    )
+    def test_out_of_range_numpy_seed_raises_at_encode(self, seed_seq):
+        # Legal numpy, but outside the wire bounds: the decoder would
+        # refuse it, so encode must fail up front instead.
+        task = ScenarioTask(
+            group=0,
+            factory="clustered",
+            run_seed=np.random.default_rng(seed_seq),
+        )
+        with pytest.raises(CodecError, match="seed field"):
+            encode_tasks([task])
+
+    def test_out_of_range_seed_spec_raises_at_encode(self):
+        spec = generator_spec(spawn_children(3, 1)[0])
+        spec["pool_size"] = 3
+        task = ScenarioTask(
+            group=0, factory="clustered", run_seed=SeedSpec(**spec)
+        )
+        with pytest.raises(CodecError, match="pool_size"):
+            encode_tasks([task])
+
+    def test_nesting_bound_is_the_same_on_encode_and_decode(self):
+        # The kwargs object itself is the first level.
+        deepest = {"a": _nested(_MAX_DEPTH - 1)}
+        task = ScenarioTask(
+            group=0, factory="clustered", factory_kwargs=deepest
+        )
+        blob = encode_tasks([task])
+        assert decode_tasks(blob)[0].factory_kwargs == deepest
+        too_deep = {"a": _nested(_MAX_DEPTH)}
+        with pytest.raises(CodecError, match="deeper"):
+            encode_tasks(
+                [
+                    ScenarioTask(
+                        group=0, factory="clustered", factory_kwargs=too_deep
+                    )
+                ]
+            )
+        doc = json.loads(blob)
+        doc[1][0][2]["a"] = [doc[1][0][2]["a"]]
+        with pytest.raises(CodecError, match="deeper"):
+            decode_tasks(json.dumps(doc).encode("utf-8"))
+
     def test_trailing_bytes_rejected(self):
         blob = encode_tasks(
             [ScenarioTask(group=0, factory="clustered")]
@@ -494,7 +552,7 @@ class TestDecoderFuzz:
         with pytest.raises(CodecError):
             decode_tasks(_corrupt(path, value))
 
-    @pytest.mark.parametrize("depth", [600, 5000])
+    @pytest.mark.parametrize("depth", [_MAX_DEPTH + 1, 600, 5000])
     def test_deep_nesting_rejected(self, depth):
         nested = "[" * depth + "]" * depth
         with pytest.raises(CodecError):
