@@ -305,30 +305,23 @@ class TestTaskCodec:
             encode_tasks([task])
 
     @pytest.mark.parametrize(
-        "seed_seq",
+        "seed",
         [
-            np.random.SeedSequence(5, pool_size=256),
-            np.random.SeedSequence(5, spawn_key=(1 << 64,)),
+            np.random.default_rng(np.random.SeedSequence(5, pool_size=256)),
+            np.random.default_rng(
+                np.random.SeedSequence(5, spawn_key=(1 << 64,))
+            ),
+            SeedSpec(
+                **{**generator_spec(spawn_children(3, 1)[0]), "pool_size": 3}
+            ),
         ],
     )
-    def test_out_of_range_numpy_seed_raises_at_encode(self, seed_seq):
-        # Legal numpy, but outside the wire bounds: the decoder would
-        # refuse it, so encode must fail up front instead.
-        task = ScenarioTask(
-            group=0,
-            factory="clustered",
-            run_seed=np.random.default_rng(seed_seq),
-        )
+    def test_out_of_range_seed_raises_at_encode(self, seed):
+        # Legal numpy (or a hand-built spec), but outside the wire
+        # bounds: the decoder would refuse it, so encode must fail up
+        # front instead.
+        task = ScenarioTask(group=0, factory="clustered", run_seed=seed)
         with pytest.raises(CodecError, match="seed field"):
-            encode_tasks([task])
-
-    def test_out_of_range_seed_spec_raises_at_encode(self):
-        spec = generator_spec(spawn_children(3, 1)[0])
-        spec["pool_size"] = 3
-        task = ScenarioTask(
-            group=0, factory="clustered", run_seed=SeedSpec(**spec)
-        )
-        with pytest.raises(CodecError, match="pool_size"):
             encode_tasks([task])
 
     def test_nesting_bound_is_the_same_on_encode_and_decode(self):
